@@ -40,16 +40,20 @@ class ReferenceDeviation(RuntimeError):
     """A reference-checked output disagrees with its committed values."""
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite real, got {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
-    except ValueError as err:
-        raise ConfigError(f"expected a comma-separated list of reals: {text!r}") from err
+    return tuple(_parse_float(tok) for tok in str(text).split(",") if tok.strip())
 
 
 _PARSERS: dict[str, Callable] = {
     "int": int,
-    "float": float,
+    "float": _parse_float,
     "str": str,
     "floats": _parse_float_list,
 }
@@ -150,7 +154,7 @@ def resolve_config(
             try:
                 merged[key] = _PARSERS[kind](value)
             except (TypeError, ValueError) as err:
-                raise ConfigError(f"bad value for {key!r}: {value!r}") from err
+                raise ConfigError(f"bad value for {key!r}: {value!r} ({err})") from err
     return ExperimentConfig(experiment, merged, Path(output_dir))
 
 
@@ -351,22 +355,47 @@ def run_fda_audit(config: ExperimentConfig) -> RunResult:
 
 def _one_round_profits(
     design_theta: float,
+    true_theta: float,
     cost: float,
     cap: float,
     sd: float,
     reps: int,
     stream: RandomStream,
-    true_theta: float | None = None,
 ) -> np.ndarray:
     """Monte Carlo profits of a one-round agent playing its best response.
 
     The license is optimal for ``design_theta``; evidence is drawn from
-    ``true_theta`` (default: same), which covers bluffing null agents.
+    ``true_theta``, which covers bluffing null agents.
     """
     f = np_best_response(0.0, design_theta, cost, cap, sd=sd)
-    mean = design_theta if true_theta is None else true_theta
-    z = sample_normal(GaussianModel(mean, sd), stream, reps)
+    z = sample_normal(GaussianModel(true_theta, sd), stream, reps)
     return np.asarray(f(z), dtype=float) - cost
+
+
+def _multiround_cell(
+    config: ExperimentConfig, cap: float, theta1: float, stream_index: int
+):
+    """DP policy, its simulated episodes and both one-round references for
+    one (cap, effect) cell, on streams stream_index .. stream_index + 2.
+
+    An effect at most zero plays the theta_star agent's strategies against
+    null evidence.
+    """
+    T, cost = config["horizon"], config["cost"]
+    reps, seed = config["reps"], config["seed"]
+    design_theta = theta1 if theta1 > 0.0 else config["theta_star"]
+    policy = backward_induction(
+        T, cost, design_theta, LicenseGrid.from_cap(cap, config["levels"])
+    )
+    episodes = simulate_policy(policy, theta1, reps, RandomStream(seed, stream_index))
+    one = _one_round_profits(
+        design_theta, theta1, cost, cap, 1.0, reps, RandomStream(seed, stream_index + 1)
+    )
+    five = _one_round_profits(
+        design_theta, theta1, T * cost, cap, 1.0 / math.sqrt(T), reps,
+        RandomStream(seed, stream_index + 2),
+    )
+    return policy, episodes, one, five
 
 
 def run_multiround(config: ExperimentConfig) -> RunResult:
@@ -381,43 +410,25 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
     """
     config.output_dir.mkdir(parents=True, exist_ok=True)
     result = RunResult()
-    T = config["horizon"]
-    cost = config["cost"]
-    levels = config["levels"]
     reps = config["reps"]
-    seed = config["seed"]
-    theta_grid = config["theta_grid"]
     if reps < 2:
         raise ConfigError("reps must be at least 2")
-    if T < 1 or levels < 1:
+    if config["horizon"] < 1 or config["levels"] < 1:
         raise ConfigError("horizon and levels must be at least 1")
     if not config["caps"]:
         raise ConfigError("caps must list at least one market cap")
     if config["theta_star"] <= 0.0:
         raise ConfigError("theta_star must be positive")
 
-    pooled_sd = 1.0 / math.sqrt(T)
-    pooled_cost = T * cost
     stream_index = 0
     profit_files = []
     curve_summaries = {}
     star_outputs_done = False
     for cap in config["caps"]:
-        grid = LicenseGrid.from_cap(cap, levels)
         rows = []
-        for theta1 in theta_grid:
-            design_theta = theta1 if theta1 > 0.0 else config["theta_star"]
-            policy = backward_induction(T, cost, design_theta, grid)
-            episodes = simulate_policy(
-                policy, theta1, reps, RandomStream(seed, stream_index)
-            )
-            one = _one_round_profits(
-                design_theta, cost, cap, 1.0, reps,
-                RandomStream(seed, stream_index + 1), true_theta=theta1,
-            )
-            five = _one_round_profits(
-                design_theta, pooled_cost, cap, pooled_sd, reps,
-                RandomStream(seed, stream_index + 2), true_theta=theta1,
+        for theta1 in config["theta_grid"]:
+            policy, episodes, one, five = _multiround_cell(
+                config, cap, theta1, stream_index
             )
             stream_index += 3
             root = math.sqrt(reps)
@@ -464,21 +475,10 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
         curve_summaries[cap] = rows
     if not star_outputs_done:
         # theta_star not on the grid: run it separately for the histograms.
-        cap = min(config["caps"])
-        grid = LicenseGrid.from_cap(cap, levels)
-        policy = backward_induction(T, cost, config["theta_star"], grid)
-        episodes = simulate_policy(
-            policy, config["theta_star"], reps, RandomStream(seed, stream_index)
+        cell = _multiround_cell(
+            config, min(config["caps"]), config["theta_star"], stream_index
         )
-        one = _one_round_profits(
-            config["theta_star"], cost, cap, 1.0, reps,
-            RandomStream(seed, stream_index + 1),
-        )
-        five = _one_round_profits(
-            config["theta_star"], pooled_cost, cap, pooled_sd, reps,
-            RandomStream(seed, stream_index + 2),
-        )
-        _write_star_outputs(config, result, policy, episodes, one, five)
+        _write_star_outputs(config, result, *cell)
     result.files += profit_files + [write_manifest(config)]
     result.summary["profit_curves"] = curve_summaries
     return result

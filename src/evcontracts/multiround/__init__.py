@@ -6,8 +6,6 @@ from .values import PLCValue, least_concave_majorant, monotone_envelope, concave
 from .optimizer import (
     InfeasibleBudgetError,
     LicenseGrid,
-    StepUpdate,
-    alternative_expectation_of_update,
     alternative_value_of_update,
     max_spendable,
     null_expectation_of_update,
@@ -38,8 +36,6 @@ __all__ = [
     "concave_monotone_hull",
     "InfeasibleBudgetError",
     "LicenseGrid",
-    "StepUpdate",
-    "alternative_expectation_of_update",
     "alternative_value_of_update",
     "max_spendable",
     "null_expectation_of_update",

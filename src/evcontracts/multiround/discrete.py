@@ -20,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from ..gaussian import upper_tail_np
-from .optimizer import LicenseGrid, StepUpdate
+from ..licenses import LicenseFn
+from .optimizer import LicenseGrid
 
 _FEASIBILITY_SLACK = 1e-12
 
@@ -77,7 +78,7 @@ def _jump_combinations(n_cells: int, levels: int) -> np.ndarray:
 
 def _update_from_jumps(
     jumps: np.ndarray, evidence: DiscretizedEvidence, grid: LicenseGrid
-) -> StepUpdate:
+) -> LicenseFn:
     cells = np.arange(evidence.n_cells)
     level_per_cell = np.searchsorted(jumps, cells, side="right")
     edges = evidence.edges()
@@ -87,7 +88,7 @@ def _update_from_jumps(
         if level_per_cell[c] != level_per_cell[c - 1]:
             breaks.append(float(edges[c - 1]))
             values.append(grid.epsilon * level_per_cell[c])
-    return StepUpdate(breaks, values)
+    return LicenseFn(breaks, values)
 
 
 def optimal_step_discrete(
@@ -96,7 +97,7 @@ def optimal_step_discrete(
     budget: float,
     grid: LicenseGrid,
     evidence: DiscretizedEvidence,
-) -> tuple[StepUpdate, float]:
+) -> tuple[LicenseFn, float]:
     """Exact best nondecreasing grid-valued update on the evidence cells.
 
     Returns the update and its expected next-stage value under the

@@ -16,8 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
+from ..licenses import LicenseFn
 from .discrete import DiscretizedEvidence, optimal_step_discrete
-from .optimizer import LicenseGrid, StepUpdate, optimal_step
+from .optimizer import LicenseGrid, optimal_step
+from .values import concave_monotone_hull
 
 
 @dataclass(frozen=True)
@@ -25,8 +27,9 @@ class DPPolicy:
     """Stop/continue rule and license updates per (round, grid level).
 
     ``value_tables[t][i]`` is the best profit-to-go holding level i after t
-    completed rounds; ``actions[t-1][i]`` is the round-t update at level i,
-    or None to stop. ``root_value`` is the value of starting the game.
+    completed rounds; ``actions[t-1][i]`` is the round-t update at level i, a
+    LicenseFn of the evidence, or None to stop. ``root_value`` is the value
+    of starting the game.
     """
 
     horizon: int
@@ -34,13 +37,13 @@ class DPPolicy:
     costs: tuple[float, ...]
     theta1: float
     value_tables: tuple[np.ndarray, ...]
-    actions: tuple[tuple[StepUpdate | None, ...], ...]
+    actions: tuple[tuple[LicenseFn | None, ...], ...]
 
     @property
     def root_value(self) -> float:
         return float(self.value_tables[0][0])
 
-    def action(self, t: int, level_index: int) -> StepUpdate | None:
+    def action(self, t: int, level_index: int) -> LicenseFn | None:
         """Update chosen in round t (1-based) at the given level, None = stop."""
         return self.actions[t - 1][level_index]
 
@@ -55,8 +58,8 @@ class DPPolicy:
                 if update is None:
                     lines.append(f"{t},{level:.12g},stop,,,{value:.12g}")
                 else:
-                    breaks = ";".join(f"{b:.12g}" for b in update.z_breakpoints)
-                    vals = ";".join(f"{v:.12g}" for v in update.grid_values)
+                    breaks = ";".join(f"{b:.12g}" for b in update.breakpoints)
+                    vals = ";".join(f"{v:.12g}" for v in update.values)
                     lines.append(
                         f"{t},{level:.12g},continue,{breaks},{vals},{value:.12g}"
                     )
@@ -85,9 +88,11 @@ def backward_induction(
     """Solve the finite-horizon license game for a type-theta1 agent.
 
     With ``evidence`` None the per-round optimization uses the analytic
-    Gaussian-tail optimizer; otherwise evidence is restricted to the given
-    cells and each one-step problem is solved exactly by enumeration, which
-    is the mode comparable against brute-force policy search.
+    Gaussian-tail optimizer: the concave nondecreasing hull of the next
+    round's value table is built once per round and every level's budget is
+    solved against it. Otherwise evidence is restricted to the given cells
+    and each one-step problem is solved exactly by enumeration, which is the
+    mode comparable against brute-force policy search.
 
     Stopping keeps the current level, so continuation is chosen only when it
     is strictly better.
@@ -104,15 +109,17 @@ def backward_induction(
 
     value = np.minimum(levels, cap)
     tables = [value]
-    actions_rev: list[tuple[StepUpdate | None, ...]] = []
+    actions_rev: list[tuple[LicenseFn | None, ...]] = []
     for t in range(horizon, 0, -1):
         cost = round_costs[t - 1]
         previous = np.empty_like(value)
-        row: list[StepUpdate | None] = []
+        row: list[LicenseFn | None] = []
+        if evidence is None:
+            hull = concave_monotone_hull(levels, value)
         for i, level in enumerate(levels):
             budget = level + cost
             if evidence is None:
-                update, alt_value = optimal_step(value, theta1, budget, grid)
+                update, alt_value = optimal_step(hull, theta1, budget)
             else:
                 update, alt_value = optimal_step_discrete(
                     value, theta1, budget, grid, evidence

@@ -12,19 +12,22 @@ of z with breakpoints
 one per positive-slope knot, and all the relevant expectations reduce to
 normal tails at the y_k (shifted by theta under the alternative). The budget
 is monotone decreasing in lambda, so the multiplier is found by bisection.
+
+Every function here takes the value function as a PLCValue. The dynamic
+program builds that hull once per round and solves every grid level of the
+round against it; the updates are LicenseFn step functions of z.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from ..gaussian import upper_tail_np
 from ..licenses import LicenseFn
-from .values import PLCValue, concave_monotone_hull
+from .values import PLCValue
 
 LAMBDA_REL_TOL = 1e-8
 _BRACKET_LO = 1e-6
@@ -71,42 +74,6 @@ class LicenseGrid:
         return idx
 
 
-@dataclass(frozen=True)
-class StepUpdate:
-    """Nondecreasing step function of z with values on the license grid.
-
-    Same interval convention as LicenseFn: grid_values[k] applies on
-    [z_breakpoints[k-1], z_breakpoints[k]), with a point on a breakpoint
-    taking the right-hand value.
-    """
-
-    z_breakpoints: tuple[float, ...]
-    grid_values: tuple[float, ...]
-
-    def __init__(self, z_breakpoints: Sequence[float], grid_values: Sequence[float]):
-        object.__setattr__(
-            self, "z_breakpoints", tuple(float(b) for b in z_breakpoints)
-        )
-        object.__setattr__(self, "grid_values", tuple(float(v) for v in grid_values))
-        if len(self.grid_values) != len(self.z_breakpoints) + 1:
-            raise ValueError("need exactly one value per interval")
-        if any(
-            b2 <= b1 for b1, b2 in zip(self.z_breakpoints, self.z_breakpoints[1:])
-        ):
-            raise ValueError("z breakpoints must be strictly increasing")
-        if any(v2 < v1 for v1, v2 in zip(self.grid_values, self.grid_values[1:])):
-            raise ValueError("grid values must be nondecreasing in z")
-        if any(v < 0.0 for v in self.grid_values):
-            raise ValueError("grid values must be nonnegative")
-
-    def apply(self, z):
-        idx = np.searchsorted(self.z_breakpoints, z, side="right")
-        return np.asarray(self.grid_values)[idx]
-
-    def as_license(self) -> LicenseFn:
-        return LicenseFn(self.z_breakpoints, self.grid_values)
-
-
 def _positive_slope_prefix(v: PLCValue) -> tuple[np.ndarray, np.ndarray]:
     """(knot values, slopes) of the knots actually reachable by the optimizer.
 
@@ -117,7 +84,7 @@ def _positive_slope_prefix(v: PLCValue) -> tuple[np.ndarray, np.ndarray]:
     """
     slopes = v.left_slopes()
     keep = int(np.searchsorted(-slopes, 0.0, side="left"))
-    return np.asarray(v.knots[1 : keep + 1]), slopes[:keep]
+    return v.knots[1 : keep + 1], slopes[:keep]
 
 
 def pointwise_update(v: PLCValue, lam: float, lr: float) -> float:
@@ -135,7 +102,7 @@ def pointwise_update(v: PLCValue, lam: float, lr: float) -> float:
     qualifying = np.nonzero(slopes >= price)[0]
     if qualifying.size == 0:
         return 0.0
-    return v.knots[qualifying[-1] + 1]
+    return float(v.knots[qualifying[-1] + 1])
 
 
 def _breakpoints(slopes: np.ndarray, lam: float, theta: float) -> np.ndarray:
@@ -156,24 +123,14 @@ def null_expectation_of_update(v: PLCValue, lam: float, theta: float) -> float:
     return float(np.dot(increments, upper_tail_np(y)))
 
 
-def alternative_expectation_of_update(v: PLCValue, lam: float, theta: float) -> float:
-    """E_theta of the lambda-priced update."""
-    knots, slopes = _positive_slope_prefix(v)
-    if knots.size == 0:
-        return 0.0
-    y = _breakpoints(slopes, lam, theta)
-    increments = np.diff(np.concatenate(([0.0], knots)))
-    return float(np.dot(increments, upper_tail_np(y - theta)))
-
-
 def alternative_value_of_update(v: PLCValue, lam: float, theta: float) -> float:
     """E_theta[v(update)]: the optimizer's objective at multiplier lam."""
     knots, slopes = _positive_slope_prefix(v)
-    base = v.values[0]
+    base = float(v.values[0])
     if knots.size == 0:
         return base
     y = _breakpoints(slopes, lam, theta)
-    value_steps = np.diff(np.asarray(v.values[: knots.size + 1]))
+    value_steps = np.diff(v.values[: knots.size + 1])
     return base + float(np.dot(value_steps, upper_tail_np(y - theta)))
 
 
@@ -189,7 +146,9 @@ def solve_lambda(v: PLCValue, theta: float, budget: float) -> float:
     The null expectation is continuous and strictly decreasing in lambda on
     the relevant range, so a geometrically expanded bracket plus bisection
     in log-lambda converges to relative tolerance LAMBDA_REL_TOL. Budgets
-    above the top reachable knot are infeasible.
+    above the top reachable knot are infeasible. A bisection that exhausts
+    its iterations or its floating-point resolution before meeting the
+    tolerance raises RuntimeError rather than return an unconverged root.
     """
     if not budget > 0.0:
         raise ValueError(f"budget must be positive, got {budget}")
@@ -227,12 +186,16 @@ def solve_lambda(v: PLCValue, theta: float, budget: float) -> float:
             hi = mid
         if hi / lo < 1.0 + 1e-15:
             break
-    return math.sqrt(lo * hi)
+    raise RuntimeError(
+        f"multiplier bisection for budget {budget} stopped at lambda "
+        f"{mid!r} with residual {value - budget!r}, above the relative "
+        f"tolerance {LAMBDA_REL_TOL}"
+    )
 
 
 def _assemble_update(
     knots: np.ndarray, y: np.ndarray, merge_tol: float = _MERGE_TOL
-) -> StepUpdate:
+) -> LicenseFn:
     """Step update with values [0, knots...] at breakpoints y, merging
     zero-width intervals produced by numerically equal slopes."""
     breaks: list[float] = []
@@ -243,40 +206,32 @@ def _assemble_update(
         else:
             breaks.append(float(yk))
             values.append(float(knot))
-    return StepUpdate(breaks, values)
+    return LicenseFn(breaks, values)
 
 
 def optimal_step(
-    v_next: Sequence[float], theta1: float, budget: float, grid: LicenseGrid
-) -> tuple[StepUpdate, float]:
-    """Best one-step update of the license under next-stage values ``v_next``.
+    value: PLCValue, theta1: float, budget: float
+) -> tuple[LicenseFn, float]:
+    """Best one-step update of the license under next-stage values ``value``.
 
-    ``v_next`` is tabulated on the grid levels. The tabulation is replaced
-    by its concave nondecreasing hull (lossless for the optimum), the
-    multiplier is solved so the update's null expectation equals ``budget``,
-    and the step function plus its expected hull value under the alternative
-    are returned. A budget at or above the top reachable knot degenerates to
-    the constant top update with slack budget.
+    ``value`` is the concave nondecreasing hull of the next round's value
+    table (lossless for the optimum), built once per round by the caller.
+    The multiplier is solved so the update's null expectation equals
+    ``budget``, and the step function plus its expected hull value under
+    the alternative are returned. A budget at or above the top reachable
+    knot degenerates to the constant top update with slack budget.
     """
     if not theta1 > 0.0:
         raise ValueError(f"theta1 must be positive, got {theta1}")
     if not 0.0 < budget:
         raise ValueError(f"budget must be positive, got {budget}")
-    v_next = np.asarray(v_next, dtype=float)
-    if v_next.shape != (grid.levels + 1,):
-        raise ValueError(
-            f"v_next must be tabulated on all {grid.levels + 1} grid levels"
-        )
-    hull = concave_monotone_hull(grid.level_values(), v_next)
-    knots, slopes = _positive_slope_prefix(hull)
+    knots, slopes = _positive_slope_prefix(value)
     if knots.size == 0:
         # Flat value function: nothing to optimize, never spend.
-        return StepUpdate([], [0.0]), float(hull.values[0])
+        return LicenseFn([], [0.0]), float(value.values[0])
     top = float(knots[-1])
     if budget >= top * (1.0 - 1e-12):
-        update = StepUpdate([], [top])
-        return update, float(hull(top))
-    lam = solve_lambda(hull, theta1, budget)
+        return LicenseFn([], [top]), float(value(top))
+    lam = solve_lambda(value, theta1, budget)
     y = _breakpoints(slopes, lam, theta1)
-    update = _assemble_update(knots, y)
-    return update, alternative_value_of_update(hull, lam, theta1)
+    return _assemble_update(knots, y), alternative_value_of_update(value, lam, theta1)

@@ -148,7 +148,7 @@ def simulate_policy(
             if update is None:
                 active[group] = False
                 continue
-            new_values = update.apply(z[group, t - 1])
+            new_values = update(z[group, t - 1])
             new_idx = np.rint(new_values / grid.epsilon).astype(np.int64)
             level_idx[group] = new_idx
             licenses[group, t - 1] = new_values

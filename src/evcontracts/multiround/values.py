@@ -17,48 +17,48 @@ import numpy as np
 _SLOPE_SLACK = 1e-9  # relative slack when validating concavity of raw knots
 
 
-@dataclass(frozen=True)
+def _read_only(xs) -> np.ndarray:
+    out = np.array(xs, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class PLCValue:
     """Concave nondecreasing piecewise-linear function on [0, knots[-1]].
 
     Knots are strictly increasing with knots[0] == 0; values are
     nondecreasing with nonincreasing left slopes. The implicit left slope at
     the origin is +infinity, so the origin is always an admissible support
-    point of an optimizer built on this function.
+    point of an optimizer built on this function. ``knots``, ``values`` and
+    the left slopes are read-only float arrays computed once here.
     """
 
-    knots: tuple[float, ...]
-    values: tuple[float, ...]
+    knots: np.ndarray
+    values: np.ndarray
 
     def __init__(self, knots: Sequence[float], values: Sequence[float]):
-        knots = tuple(float(x) for x in knots)
-        values = tuple(float(v) for v in values)
-        if len(knots) != len(values) or not knots:
+        knots = _read_only(knots)
+        values = _read_only(values)
+        if knots.ndim != 1 or knots.shape != values.shape or knots.size == 0:
             raise ValueError("need one value per knot and at least one knot")
         if knots[0] != 0.0:
             raise ValueError(f"first knot must be 0, got {knots[0]}")
-        if any(x2 <= x1 for x1, x2 in zip(knots, knots[1:])):
+        if np.any(knots[1:] <= knots[:-1]):
             raise ValueError("knots must be strictly increasing")
-        if any(v2 < v1 for v1, v2 in zip(values, values[1:])):
+        if np.any(values[1:] < values[:-1]):
             raise ValueError("values must be nondecreasing")
-        slopes = [
-            (v2 - v1) / (x2 - x1)
-            for (x1, v1), (x2, v2) in zip(zip(knots, values), zip(knots[1:], values[1:]))
-        ]
-        scale = max((abs(s) for s in slopes), default=0.0)
-        if any(
-            s2 > s1 + _SLOPE_SLACK * max(scale, 1.0)
-            for s1, s2 in zip(slopes, slopes[1:])
-        ):
+        slopes = _read_only(np.diff(values) / np.diff(knots))
+        scale = float(np.max(np.abs(slopes), initial=0.0))
+        if np.any(slopes[1:] > slopes[:-1] + _SLOPE_SLACK * max(scale, 1.0)):
             raise ValueError("left slopes must be nonincreasing (concavity)")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_slopes", slopes)
 
     def left_slopes(self) -> np.ndarray:
         """Slope of segment k (into knot k), for k = 1..K."""
-        x = np.asarray(self.knots)
-        v = np.asarray(self.values)
-        return np.diff(v) / np.diff(x)
+        return self._slopes
 
     def __call__(self, x):
         """Piecewise-linear interpolation, clamped to the knot range."""

@@ -130,8 +130,8 @@ def test_criterion_4_single_round_reduction():
             target_profit = upper_tail(target_threshold - theta) - ratio
             update = policy.action(1, 0)
             ok = ok and abs(policy.root_value - target_profit) <= grid.epsilon
-            ok = ok and len(update.z_breakpoints) == 1
-            ok = ok and abs(update.z_breakpoints[0] - target_threshold) <= 1e-6
+            ok = ok and len(update.breakpoints) == 1
+            ok = ok and abs(update.breakpoints[0] - target_threshold) <= 1e-6
     report(4, "one-round program equals the all-or-nothing best response", ok)
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from evcontracts.cli import EXIT_CONFIG, EXIT_DEVIATION, EXIT_OK, main
 from evcontracts.experiments import (
+    SCHEMAS,
     ConfigError,
     parse_config_file,
     resolve_config,
@@ -45,6 +46,24 @@ class TestConfigParsing:
         config = resolve_config("welfare", tmp_path)
         assert config["grid_points"] == 101
         assert config["ratio_b"] == 50.0
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "experiment,key",
+        [
+            (experiment, key)
+            for experiment, schema in SCHEMAS.items()
+            for key, (kind, _) in schema.items()
+            if kind in ("float", "floats")
+        ],
+    )
+    def test_non_finite_value_exits_config(
+        self, tmp_path, capsys, experiment, key, value
+    ):
+        command = experiment.replace("_", "-")
+        code = main([command, "--out", str(tmp_path), "--param", f"{key}={value}"])
+        assert code == EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
 
 
 class TestWelfareCommand:

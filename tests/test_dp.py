@@ -14,6 +14,8 @@ from evcontracts.multiround import (
     DiscretizedEvidence,
     LicenseGrid,
     backward_induction,
+    concave_monotone_hull,
+    dp,
 )
 
 NULL = GaussianModel(0.0)
@@ -30,8 +32,8 @@ class TestSingleRoundReduction:
         assert policy.root_value == pytest.approx(np_profit(0.05, 1.0, 1.0), abs=1e-8)
         update = policy.action(1, 0)
         reference = np_best_response(0.0, 1.0, 0.05, 1.0)
-        assert len(update.z_breakpoints) == 1
-        assert update.z_breakpoints[0] == pytest.approx(
+        assert len(update.breakpoints) == 1
+        assert update.breakpoints[0] == pytest.approx(
             reference.breakpoints[0], abs=1e-6
         )
 
@@ -39,6 +41,20 @@ class TestSingleRoundReduction:
         grid = LicenseGrid.from_cap(2.0, 10)
         policy = backward_induction(1, 0.5, 1.0, grid)
         assert np.allclose(policy.value_tables[-1], np.minimum(grid.level_values(), 2.0))
+
+
+class TestHullPerRound:
+    def test_one_hull_per_round(self, monkeypatch):
+        # the hull depends on the round's value table, not on the level
+        calls = []
+
+        def counted(xs, ys):
+            calls.append(len(xs))
+            return concave_monotone_hull(xs, ys)
+
+        monkeypatch.setattr(dp, "concave_monotone_hull", counted)
+        backward_induction(3, 0.1, 1.0, LicenseGrid.from_cap(1.0, 20))
+        assert calls == [21, 21, 21]
 
 
 class TestDegenerateCases:
@@ -100,7 +116,7 @@ class TestValueTables:
                 if update is None:
                     continue
                 budget = level + policy.costs[t - 1]
-                mass = null_expectation(update.as_license(), NULL)
+                mass = null_expectation(update, NULL)
                 if budget >= cap:
                     assert mass == pytest.approx(cap, abs=1e-9)
                 else:

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from evcontracts import GaussianModel, null_expectation, np_best_response
+from evcontracts import GaussianModel, LicenseFn, null_expectation, np_best_response
 from evcontracts.multiround import (
     InfeasibleBudgetError,
     LicenseGrid,
     PLCValue,
-    StepUpdate,
-    alternative_expectation_of_update,
     alternative_value_of_update,
+    concave_monotone_hull,
     max_spendable,
     null_expectation_of_update,
     optimal_step,
+    optimizer,
     pointwise_update,
     solve_lambda,
 )
@@ -127,13 +127,6 @@ class TestNullExpectationOfUpdate:
                 target, rel=2e-3
             )
 
-    def test_alternative_expectation_oracle(self):
-        v = PLCValue([0.0, 1.0, 2.0], [0.0, 2.0, 3.0])
-        for lam in (0.7, 1.4):
-            assert alternative_expectation_of_update(v, lam, 0.8) == pytest.approx(
-                quadrature_update_expectation(v, lam, 0.8, 0.8), abs=1e-9
-            )
-
     def test_domain_errors(self):
         v = PLCValue([0.0, 1.0], [0.0, 1.0])
         with pytest.raises(ValueError):
@@ -187,6 +180,14 @@ class TestSolveLambda:
         with pytest.raises(ValueError):
             solve_lambda(v, 1.0, 0.0)
 
+    def test_unmet_tolerance_raises(self, monkeypatch):
+        # no residual can meet a negative tolerance, so the bisection runs
+        # out and must say so instead of returning its last midpoint
+        monkeypatch.setattr(optimizer, "LAMBDA_REL_TOL", -1.0)
+        v = PLCValue([0.0, 1.0, 2.0], [0.0, 2.0, 3.0])
+        with pytest.raises(RuntimeError, match="budget 0.3 .* residual"):
+            solve_lambda(v, 1.0, 0.3)
+
     def test_max_spendable(self):
         assert max_spendable(PLCValue([0.0, 2.0], [0.0, 1.5])) == 2.0
         # flat tail is not spendable
@@ -200,20 +201,26 @@ class TestOptimalStep:
         grid = LicenseGrid.from_cap(1.0, 100)
         for ratio in (0.05, 0.2):
             update, value = optimal_step(
-                np.minimum(grid.level_values(), grid.cap), 1.0, ratio, grid
+                concave_monotone_hull(
+                    grid.level_values(), np.minimum(grid.level_values(), grid.cap)
+                ),
+                1.0,
+                ratio,
             )
             reference = np_best_response(0.0, 1.0, ratio, 1.0)
-            assert len(update.z_breakpoints) == 1
-            assert update.grid_values == (0.0, 1.0)
-            assert update.z_breakpoints[0] == pytest.approx(
+            assert len(update.breakpoints) == 1
+            assert update.values == (0.0, 1.0)
+            assert update.breakpoints[0] == pytest.approx(
                 reference.breakpoints[0], abs=1e-6
             )
 
     def test_single_level_grid_all_or_nothing(self):
         grid = LicenseGrid.from_cap(2.0, 1)
-        update, _ = optimal_step(np.array([0.0, 2.0]), 1.0, 0.3, grid)
-        assert update.grid_values == (0.0, 2.0)
-        assert len(update.z_breakpoints) == 1
+        update, _ = optimal_step(
+            concave_monotone_hull(grid.level_values(), [0.0, 2.0]), 1.0, 0.3
+        )
+        assert update.values == (0.0, 2.0)
+        assert len(update.breakpoints) == 1
 
     def test_budget_binds_on_emitted_update(self):
         rng = np.random.default_rng(8)
@@ -223,15 +230,18 @@ class TestOptimalStep:
                 ([0.0], np.cumsum(rng.uniform(0.0, 0.1, grid.levels)))
             )
             budget = rng.uniform(0.02, 0.9)
-            update, _ = optimal_step(v_next, 1.0, budget, grid)
-            mass = null_expectation(update.as_license(), NULL)
+            update, _ = optimal_step(
+                concave_monotone_hull(grid.level_values(), v_next), 1.0, budget
+            )
+            mass = null_expectation(update, NULL)
             assert mass == pytest.approx(budget, abs=1e-6 * grid.cap)
 
     def test_budget_at_cap_degenerates_to_constant(self):
         grid = LicenseGrid.from_cap(1.0, 10)
-        update, value = optimal_step(grid.level_values(), 1.0, 1.0, grid)
-        assert update.z_breakpoints == ()
-        assert update.grid_values == (1.0,)
+        levels = grid.level_values()
+        update, value = optimal_step(concave_monotone_hull(levels, levels), 1.0, 1.0)
+        assert update.breakpoints == ()
+        assert update.values == (1.0,)
         assert value == pytest.approx(1.0)
 
     def test_value_matches_monte_carlo(self):
@@ -239,9 +249,11 @@ class TestOptimalStep:
         grid = LicenseGrid.from_cap(1.0, 20)
         v_next = np.concatenate(([0.0], np.cumsum(rng.uniform(0.0, 0.12, 20))))
         theta = 1.1
-        update, value = optimal_step(v_next, theta, 0.3, grid)
+        update, value = optimal_step(
+            concave_monotone_hull(grid.level_values(), v_next), theta, 0.3
+        )
         z = rng.normal(theta, 1.0, 1_000_000)
-        levels = np.asarray(update.apply(z))
+        levels = np.asarray(update(z))
         idx = np.rint(levels / grid.epsilon).astype(int)
         samples = v_next[idx]
         se = samples.std(ddof=1) / 1000.0
@@ -252,15 +264,13 @@ class TestOptimalStep:
         # update can output, so no value is lost in the reduction
         rng = np.random.default_rng(77)
         grid = LicenseGrid.from_cap(1.0, 30)
-        from evcontracts.multiround import concave_monotone_hull
-
         for _ in range(20):
             v_next = np.concatenate(
                 ([0.0], np.cumsum(rng.uniform(0.0, 0.1, grid.levels)))
             )
-            update, _ = optimal_step(v_next, 0.9, 0.25, grid)
             hull = concave_monotone_hull(grid.level_values(), v_next)
-            for level in update.grid_values:
+            update, _ = optimal_step(hull, 0.9, 0.25)
+            for level in update.values:
                 raw = v_next[grid.index_of(level)]
                 assert float(hull(level)) == pytest.approx(raw, abs=1e-12)
 
@@ -270,7 +280,9 @@ class TestOptimalStep:
         grid = LicenseGrid.from_cap(1.0, 10)
         theta, budget = 1.0, 0.15
         v_next = np.concatenate(([0.0], np.cumsum(rng.uniform(0.0, 0.2, 10))))
-        _, best = optimal_step(v_next, theta, budget, grid)
+        _, best = optimal_step(
+            concave_monotone_hull(grid.level_values(), v_next), theta, budget
+        )
         alt = GaussianModel(theta)
         for _ in range(300):
             n_breaks = int(rng.integers(1, 4))
@@ -280,28 +292,28 @@ class TestOptimalStep:
             idx = np.sort(rng.integers(0, 11, n_breaks + 1))
             candidate = LicenseGrid.from_cap(1.0, 10).epsilon * idx
             try:
-                update = StepUpdate(breaks, candidate)
+                update = LicenseFn(breaks, candidate)
             except ValueError:
                 continue
-            f = update.as_license()
-            if null_expectation(f, NULL) > budget:
+            if null_expectation(update, NULL) > budget:
                 continue
             gained = sum(
                 p * v_next[grid.index_of(v)]
-                for p, v in zip(_outcome_probs(update, theta), update.grid_values)
+                for p, v in zip(_outcome_probs(update, theta), update.values)
             )
             assert gained <= best + 1e-9
 
     def test_infeasible_budget_propagates(self):
         grid = LicenseGrid.from_cap(1.0, 10)
         with pytest.raises(ValueError):
-            optimal_step(grid.level_values(), 1.0, 0.0, grid)
+            levels = grid.level_values()
+            optimal_step(concave_monotone_hull(levels, levels), 1.0, 0.0)
 
 
-def _outcome_probs(update: StepUpdate, mean: float) -> list[float]:
+def _outcome_probs(update: LicenseFn, mean: float) -> list[float]:
     from evcontracts import upper_tail
 
-    breaks = list(update.z_breakpoints)
+    breaks = list(update.breakpoints)
     tails = [upper_tail(b - mean) for b in breaks]
     probs = [1.0 - tails[0]]
     probs += [tails[i] - tails[i + 1] for i in range(len(tails) - 1)]
@@ -325,15 +337,15 @@ class TestGridAndUpdateTypes:
 
     def test_step_update_validation(self):
         with pytest.raises(ValueError):
-            StepUpdate([0.0], [1.0])
+            LicenseFn([0.0], [1.0])
         with pytest.raises(ValueError):
-            StepUpdate([1.0, 0.5], [0.0, 1.0, 2.0])
+            LicenseFn([1.0, 0.5], [0.0, 1.0, 2.0])
         with pytest.raises(ValueError):
-            StepUpdate([0.0], [1.0, 0.5])
+            LicenseFn([0.0], [1.0, 0.5])
 
     def test_step_update_apply(self):
-        update = StepUpdate([0.0, 1.0], [0.0, 0.5, 1.0])
-        assert list(update.apply(np.array([-1.0, 0.0, 0.5, 2.0]))) == [
+        update = LicenseFn([0.0, 1.0], [0.0, 0.5, 1.0])
+        assert list(update(np.array([-1.0, 0.0, 0.5, 2.0]))) == [
             0.0,
             0.5,
             0.5,
