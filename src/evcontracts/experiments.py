@@ -417,6 +417,10 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
         raise ConfigError("horizon and levels must be at least 1")
     if not config["caps"]:
         raise ConfigError("caps must list at least one market cap")
+    for key in ("caps", "theta_grid"):
+        values = config[key]
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{key} lists a value more than once: {values}")
     if config["theta_star"] <= 0.0:
         raise ConfigError("theta_star must be positive")
 

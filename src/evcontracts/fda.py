@@ -75,7 +75,13 @@ def placebo_expected_value(p: float, profit: float, cost: float) -> int:
     """p * profit - cost in dollars, exact at thousand-dollar resolution."""
     if cost <= 0.0:
         raise ValueError(f"trial cost must be positive, got {cost}")
-    ev_thousands = round(p * _to_thousands(profit)) - _to_thousands(cost)
+    cost_thousands = _to_thousands(cost)
+    if cost_thousands == 0:
+        raise ValueError(
+            f"trial cost {cost} rounds to 0 thousand dollars; the audit counts "
+            "money in thousands, so the cost must exceed 500"
+        )
+    ev_thousands = round(p * _to_thousands(profit)) - cost_thousands
     return ev_thousands * 1000
 
 

@@ -14,6 +14,7 @@ the test suite.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -41,20 +42,24 @@ class LicenseFn:
     values: tuple[float, ...]
 
     def __init__(self, breakpoints: Sequence[float], values: Sequence[float]):
-        object.__setattr__(self, "breakpoints", tuple(float(b) for b in breakpoints))
-        object.__setattr__(self, "values", tuple(float(v) for v in values))
-        if len(self.values) != len(self.breakpoints) + 1:
+        breaks = tuple(map(float, breakpoints))
+        vals = tuple(map(float, values))
+        object.__setattr__(self, "breakpoints", breaks)
+        object.__setattr__(self, "values", vals)
+        # map over C-level callables: these checks run on every update the
+        # dynamic program and the sweeps build
+        if len(vals) != len(breaks) + 1:
             raise ValueError(
-                f"need exactly one value per interval: got {len(self.breakpoints)} "
-                f"breakpoints and {len(self.values)} values"
+                f"need exactly one value per interval: got {len(breaks)} "
+                f"breakpoints and {len(vals)} values"
             )
-        if any(b2 <= b1 for b1, b2 in zip(self.breakpoints, self.breakpoints[1:])):
+        if any(map(operator.le, breaks[1:], breaks)):
             raise ValueError("breakpoints must be strictly increasing")
-        if any(not math.isfinite(b) for b in self.breakpoints):
+        if not all(map(math.isfinite, breaks)):
             raise ValueError("breakpoints must be finite")
-        if any(v < 0.0 for v in self.values):
+        if any(map((0.0).__gt__, vals)):
             raise ValueError("license values must be nonnegative")
-        if any(v2 < v1 for v1, v2 in zip(self.values, self.values[1:])):
+        if any(map(operator.lt, vals[1:], vals)):
             raise ValueError("license values must be nondecreasing in z")
 
     def __call__(self, z):

@@ -10,6 +10,7 @@ from .optimizer import (
     max_spendable,
     null_expectation_of_update,
     optimal_step,
+    optimal_steps,
     pointwise_update,
     solve_lambda,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "max_spendable",
     "null_expectation_of_update",
     "optimal_step",
+    "optimal_steps",
     "pointwise_update",
     "solve_lambda",
     "DiscretizedEvidence",

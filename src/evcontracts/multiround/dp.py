@@ -18,7 +18,7 @@ import numpy as np
 
 from ..licenses import LicenseFn
 from .discrete import DiscretizedEvidence, optimal_step_discrete
-from .optimizer import LicenseGrid, optimal_step
+from .optimizer import LicenseGrid, optimal_steps
 from .values import concave_monotone_hull
 
 
@@ -51,6 +51,8 @@ class DPPolicy:
         """Policy table: t,level,action,z_breakpoints,grid_values,value."""
         lines = ["t,level,action,z_breakpoints,grid_values,value"]
         levels = self.grid.level_values()
+        # the updates of one round share their values; format them once
+        formatted_values: dict[tuple[float, ...], str] = {}
         for t in range(1, self.horizon + 1):
             for i, level in enumerate(levels):
                 update = self.actions[t - 1][i]
@@ -58,12 +60,19 @@ class DPPolicy:
                 if update is None:
                     lines.append(f"{t},{level:.12g},stop,,,{value:.12g}")
                 else:
-                    breaks = ";".join(f"{b:.12g}" for b in update.breakpoints)
-                    vals = ";".join(f"{v:.12g}" for v in update.values)
+                    breaks = _join_12g(update.breakpoints)
+                    vals = formatted_values.get(update.values)
+                    if vals is None:
+                        vals = formatted_values[update.values] = _join_12g(update.values)
                     lines.append(
                         f"{t},{level:.12g},continue,{breaks},{vals},{value:.12g}"
                     )
         return "\n".join(lines) + "\n"
+
+
+def _join_12g(xs: tuple[float, ...]) -> str:
+    """``xs`` as ';'-separated %.12g fields, formatted in one call."""
+    return ";".join(["%.12g"] * len(xs)) % xs
 
 
 def _round_costs(costs: float | Sequence[float], horizon: int) -> tuple[float, ...]:
@@ -89,10 +98,11 @@ def backward_induction(
 
     With ``evidence`` None the per-round optimization uses the analytic
     Gaussian-tail optimizer: the concave nondecreasing hull of the next
-    round's value table is built once per round and every level's budget is
-    solved against it. Otherwise evidence is restricted to the given cells
-    and each one-step problem is solved exactly by enumeration, which is the
-    mode comparable against brute-force policy search.
+    round's value table is built once per round and the budgets of all
+    levels are solved against it together, in one bracketed Newton pass.
+    Otherwise evidence is restricted to the given cells and each one-step
+    problem is solved exactly by enumeration, which is the mode comparable
+    against brute-force policy search.
 
     Stopping keeps the current level, so continuation is chosen only when it
     is strictly better.
@@ -112,28 +122,24 @@ def backward_induction(
     actions_rev: list[tuple[LicenseFn | None, ...]] = []
     for t in range(horizon, 0, -1):
         cost = round_costs[t - 1]
-        previous = np.empty_like(value)
-        row: list[LicenseFn | None] = []
         if evidence is None:
-            hull = concave_monotone_hull(levels, value)
-        for i, level in enumerate(levels):
-            budget = level + cost
-            if evidence is None:
-                update, alt_value = optimal_step(hull, theta1, budget)
-            else:
-                update, alt_value = optimal_step_discrete(
-                    value, theta1, budget, grid, evidence
+            updates, alt_values = optimal_steps(
+                concave_monotone_hull(levels, value), theta1, levels + cost
+            )
+        else:
+            updates, alt_values = zip(
+                *(
+                    optimal_step_discrete(value, theta1, level + cost, grid, evidence)
+                    for level in levels
                 )
-            continuation = alt_value - cost
-            if continuation > level:
-                previous[i] = continuation
-                row.append(update)
-            else:
-                previous[i] = level
-                row.append(None)
-        tables.append(previous)
-        actions_rev.append(tuple(row))
-        value = previous
+            )
+        continuation = np.asarray(alt_values) - cost
+        go = continuation > levels
+        value = np.where(go, continuation, levels)
+        tables.append(value)
+        actions_rev.append(
+            tuple(update if g else None for update, g in zip(updates, go.tolist()))
+        )
 
     return DPPolicy(
         horizon=horizon,

@@ -7,15 +7,18 @@ at each z, the largest knot whose left slope clears lambda divided by the
 likelihood ratio. In a Gaussian location family that rule is a step function
 of z with breakpoints
 
-    y_k = theta/2 - (1/theta) * log(slope_k / lambda),
+    y_k = theta/2 - (1/theta) * (log slope_k - log lambda),
 
 one per positive-slope knot, and all the relevant expectations reduce to
 normal tails at the y_k (shifted by theta under the alternative). The budget
-is monotone decreasing in lambda, so the multiplier is found by bisection.
+is strictly decreasing in u = log lambda with the closed-form derivative
+-sum_k inc_k * phi(y_k) / theta, so the multiplier is found by a bracketed
+Newton iteration in u.
 
 Every function here takes the value function as a PLCValue. The dynamic
 program builds that hull once per round and solves every grid level of the
-round against it; the updates are LicenseFn step functions of z.
+round against it in one vectorized pass (optimal_steps); the updates are
+LicenseFn step functions of z.
 """
 
 from __future__ import annotations
@@ -29,14 +32,19 @@ from ..gaussian import upper_tail_np
 from ..licenses import LicenseFn
 from .values import PLCValue
 
-LAMBDA_REL_TOL = 1e-8
+LAMBDA_REL_TOL = 1e-12
 _BRACKET_LO = 1e-6
 _BRACKET_HI = 1e6
 _BRACKET_LIMIT = 1e-280  # give up expanding beyond this
+_BRACKET_WIDEN = 1e2  # geometric step when a budget lies outside the bracket
+_TABLE_POINTS = 65  # log-lambda points tabulated over [_BRACKET_LO, _BRACKET_HI]
+_MAX_ITERATIONS = 200
 
 # Breakpoints closer than this are merged when assembling a step update;
 # they arise only from near-equal hull slopes.
 _MERGE_TOL = 1e-12
+
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class InfeasibleBudgetError(ValueError):
@@ -105,8 +113,25 @@ def pointwise_update(v: PLCValue, lam: float, lr: float) -> float:
     return float(v.knots[qualifying[-1] + 1])
 
 
-def _breakpoints(slopes: np.ndarray, lam: float, theta: float) -> np.ndarray:
-    return theta / 2.0 - np.log(slopes / lam) / theta
+def _breakpoints(log_slopes: np.ndarray, u: np.ndarray, theta: float) -> np.ndarray:
+    """Breakpoints y[l, k] of the update priced at log-multiplier u[l]."""
+    return theta / 2.0 - (log_slopes - u[:, None]) / theta
+
+
+def _spend(
+    increments: np.ndarray, y: np.ndarray, theta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Null expectation of each row's update, sum_k inc_k * P_0(z >= y_k),
+    and its derivative in log lambda, -sum_k inc_k * phi(y_k) / theta."""
+    spend = (increments * upper_tail_np(y)).sum(axis=1)
+    slope = (increments * np.exp(-0.5 * y * y)).sum(axis=1) / (-theta * _SQRT_2PI)
+    return spend, slope
+
+
+def _alternative_values(v: PLCValue, n_knots: int, y: np.ndarray, theta: float) -> np.ndarray:
+    """E_theta[v(update)] of each row's update with breakpoints y."""
+    value_steps = np.diff(v.values[: n_knots + 1])
+    return float(v.values[0]) + (value_steps * upper_tail_np(y - theta)).sum(axis=1)
 
 
 def null_expectation_of_update(v: PLCValue, lam: float, theta: float) -> float:
@@ -118,20 +143,18 @@ def null_expectation_of_update(v: PLCValue, lam: float, theta: float) -> float:
     knots, slopes = _positive_slope_prefix(v)
     if knots.size == 0:
         return 0.0
-    y = _breakpoints(slopes, lam, theta)
-    increments = np.diff(np.concatenate(([0.0], knots)))
-    return float(np.dot(increments, upper_tail_np(y)))
+    y = _breakpoints(np.log(slopes), np.array([math.log(lam)]), theta)
+    spend, _ = _spend(np.diff(knots, prepend=0.0), y, theta)
+    return float(spend[0])
 
 
 def alternative_value_of_update(v: PLCValue, lam: float, theta: float) -> float:
     """E_theta[v(update)]: the optimizer's objective at multiplier lam."""
     knots, slopes = _positive_slope_prefix(v)
-    base = float(v.values[0])
     if knots.size == 0:
-        return base
-    y = _breakpoints(slopes, lam, theta)
-    value_steps = np.diff(v.values[: knots.size + 1])
-    return base + float(np.dot(value_steps, upper_tail_np(y - theta)))
+        return float(v.values[0])
+    y = _breakpoints(np.log(slopes), np.array([math.log(lam)]), theta)
+    return float(_alternative_values(v, knots.size, y, theta)[0])
 
 
 def max_spendable(v: PLCValue) -> float:
@@ -140,98 +163,176 @@ def max_spendable(v: PLCValue) -> float:
     return float(knots[-1]) if knots.size else 0.0
 
 
-def solve_lambda(v: PLCValue, theta: float, budget: float) -> float:
+def solve_lambda(v: PLCValue, theta: float, budget):
     """Multiplier whose update spends the null budget exactly.
 
-    The null expectation is continuous and strictly decreasing in lambda on
-    the relevant range, so a geometrically expanded bracket plus bisection
-    in log-lambda converges to relative tolerance LAMBDA_REL_TOL. Budgets
-    above the top reachable knot are infeasible. A bisection that exhausts
-    its iterations or its floating-point resolution before meeting the
-    tolerance raises RuntimeError rather than return an unconverged root.
+    ``budget`` is a scalar or a 1-D array; the result has the same shape.
+    The null expectation is continuous and strictly decreasing in
+    u = log lambda, so it is tabulated once on a fixed log-lambda grid over
+    [_BRACKET_LO, _BRACKET_HI], the grid is widened geometrically until it
+    brackets every budget, and each budget's root is polished from the
+    interpolated table by a Newton iteration that bisects its bracket
+    whenever a step leaves it. Every budget must meet the relative tolerance
+    LAMBDA_REL_TOL. Budgets above the top reachable knot are infeasible. A
+    solve that exhausts its iterations or its floating-point resolution
+    before meeting the tolerance raises RuntimeError rather than return an
+    unconverged root.
     """
-    if not budget > 0.0:
-        raise ValueError(f"budget must be positive, got {budget}")
+    if not theta > 0.0:
+        raise ValueError(f"theta must be positive, got {theta}")
+    budgets = np.atleast_1d(np.asarray(budget, dtype=float))
+    if budgets.ndim != 1:
+        raise ValueError(f"budget must be a scalar or a 1-D array, got shape {budgets.shape}")
+    bad = ~(budgets > 0.0)
+    if bad.any():
+        raise ValueError(f"budget must be positive, got {float(budgets[bad][0])}")
     top = max_spendable(v)
-    if budget > top:
+    over = budgets > top
+    if over.any():
         raise InfeasibleBudgetError(
-            f"budget {budget} exceeds the top reachable knot {top}"
+            f"budget {float(budgets[over][0])} exceeds the top reachable knot {top}"
         )
+    knots, slopes = _positive_slope_prefix(v)
+    log_slopes = np.log(slopes)
+    increments = np.diff(knots, prepend=0.0)
 
-    def spend(lam: float) -> float:
-        return null_expectation_of_update(v, lam, theta)
+    def spend(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _spend(increments, _breakpoints(log_slopes, u, theta), theta)
 
-    lo, hi = _BRACKET_LO, _BRACKET_HI
-    while spend(lo) < budget:
-        lo *= 1e-2
-        if lo < _BRACKET_LIMIT:
+    grid = np.linspace(math.log(_BRACKET_LO), math.log(_BRACKET_HI), _TABLE_POINTS)
+    grid, table = grid.tolist(), spend(grid)[0].tolist()
+    widen = math.log(_BRACKET_WIDEN)
+    limit = math.log(_BRACKET_LIMIT)
+    while table[0] < budgets.max():
+        grid.insert(0, grid[0] - widen)
+        if grid[0] < limit:
             raise InfeasibleBudgetError(
-                f"budget {budget} is not attainable by any finite multiplier"
+                f"budget {float(budgets.max())} is not attainable by any finite multiplier"
             )
-    while spend(hi) > budget:
-        hi *= 1e2
-        if hi > 1.0 / _BRACKET_LIMIT:
+        table.insert(0, float(spend(np.array(grid[:1]))[0][0]))
+    while table[-1] > budgets.min():
+        grid.append(grid[-1] + widen)
+        if grid[-1] > -limit:
             # spend(lambda) -> 0, so this loop always terminates in practice
             raise InfeasibleBudgetError(
-                f"budget {budget} is below any positive multiplier's spend"
+                f"budget {float(budgets.min())} is below any positive multiplier's spend"
             )
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        value = spend(mid)
-        if abs(value - budget) <= LAMBDA_REL_TOL * budget:
-            return mid
-        if value > budget:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo < 1.0 + 1e-15:
+        table.append(float(spend(np.array(grid[-1:]))[0][0]))
+    grid, table = np.array(grid), np.array(table)
+
+    # Bracket each budget between adjacent table points (spend decreases
+    # along the table) and start from the linear interpolant.
+    right = np.clip(np.searchsorted(-table, -budgets, side="left"), 1, grid.size - 1)
+    lo, hi = grid[right - 1], grid[right]
+    s_left, s_right = table[right - 1], table[right]
+    drop = s_left - s_right
+    frac = np.divide(s_left - budgets, drop, out=np.full(budgets.shape, 0.5), where=drop > 0.0)
+    u = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
+
+    # u_at and residual hold the last evaluated point of each budget.
+    u_at = u.copy()
+    residual = np.full(budgets.shape, np.inf)
+    active = np.arange(budgets.size)
+    for _ in range(_MAX_ITERATIONS):
+        ua, target = u[active], budgets[active]
+        value, slope = spend(ua)
+        r = value - target
+        u_at[active], residual[active] = ua, r
+        # spend decreases in u: too much spend means the root lies above ua
+        lo_a = np.where(r > 0.0, ua, lo[active])
+        hi_a = np.where(r > 0.0, hi[active], ua)
+        lo[active], hi[active] = lo_a, hi_a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = ua - r / slope
+        mid = 0.5 * (lo_a + hi_a)
+        step = np.where((newton > lo_a) & (newton < hi_a), newton, mid)
+        u[active] = step
+        converged = np.abs(r) <= LAMBDA_REL_TOL * target
+        # floating-point resolution exhausted: no new point left to try
+        stalled = (step == ua) | ~((lo_a < mid) & (mid < hi_a))
+        active = active[~(converged | stalled)]
+        if active.size == 0:
             break
-    raise RuntimeError(
-        f"multiplier bisection for budget {budget} stopped at lambda "
-        f"{mid!r} with residual {value - budget!r}, above the relative "
-        f"tolerance {LAMBDA_REL_TOL}"
-    )
+    missed = ~(np.abs(residual) <= LAMBDA_REL_TOL * budgets)
+    if missed.any():
+        worst = int(np.argmax(np.where(missed, np.abs(residual) / budgets, -np.inf)))
+        raise RuntimeError(
+            f"multiplier solve for budget {float(budgets[worst])} stopped at lambda "
+            f"{math.exp(u_at[worst])!r} with residual {float(residual[worst])!r}, "
+            f"above the relative tolerance {LAMBDA_REL_TOL}"
+        )
+    lam = np.exp(u_at)
+    return float(lam[0]) if np.ndim(budget) == 0 else lam
 
 
-def _assemble_update(
-    knots: np.ndarray, y: np.ndarray, merge_tol: float = _MERGE_TOL
-) -> LicenseFn:
-    """Step update with values [0, knots...] at breakpoints y, merging
-    zero-width intervals produced by numerically equal slopes."""
-    breaks: list[float] = []
-    values: list[float] = [0.0]
-    for knot, yk in zip(knots, y):
-        if breaks and yk - breaks[-1] <= merge_tol:
+def _merge_pattern(
+    knots: np.ndarray, log_slopes: np.ndarray, theta: float
+) -> tuple[list[int], list[float]]:
+    """Kept breakpoint indices and the values [0, knots...] of the update's
+    intervals, with zero-width intervals from numerically equal slopes
+    merged into the larger knot.
+
+    Breakpoint gaps y_k - y_j = (log slope_j - log slope_k) / theta do not
+    depend on lambda, so one pattern serves every budget of a round.
+    """
+    keep: list[int] = []
+    values = [0.0]
+    log_slopes = log_slopes.tolist()
+    for k, knot in enumerate(knots.tolist()):
+        if keep and (log_slopes[keep[-1]] - log_slopes[k]) / theta <= _MERGE_TOL:
             values[-1] = knot  # interval collapsed: keep the larger knot
         else:
-            breaks.append(float(yk))
-            values.append(float(knot))
-    return LicenseFn(breaks, values)
+            keep.append(k)
+            values.append(knot)
+    return keep, values
+
+
+def optimal_steps(
+    value: PLCValue, theta1: float, budgets
+) -> tuple[tuple[LicenseFn, ...], np.ndarray]:
+    """Best one-step updates of the license, one per budget, under next-stage
+    values ``value``.
+
+    ``value`` is the concave nondecreasing hull of the next round's value
+    table (lossless for the optimum), built once per round by the caller.
+    Each budget's multiplier is solved so its update's null expectation
+    equals the budget; all budgets share one multiplier solve. Returns the
+    step functions and their expected hull values under the alternative. A
+    budget at or above the top reachable knot degenerates to the constant
+    top update with slack budget.
+    """
+    if not theta1 > 0.0:
+        raise ValueError(f"theta1 must be positive, got {theta1}")
+    budgets = np.asarray(budgets, dtype=float)
+    if budgets.ndim != 1:
+        raise ValueError(f"budgets must be a 1-D array, got shape {budgets.shape}")
+    bad = ~(budgets > 0.0)
+    if bad.any():
+        raise ValueError(f"budget must be positive, got {float(budgets[bad][0])}")
+    knots, slopes = _positive_slope_prefix(value)
+    if knots.size == 0:
+        # Flat value function: nothing to optimize, never spend.
+        return (LicenseFn([], [0.0]),) * budgets.size, np.full(
+            budgets.size, float(value.values[0])
+        )
+    top = float(knots[-1])
+    updates = [LicenseFn([], [top])] * budgets.size
+    alt_values = np.full(budgets.size, float(value(top)))
+    inner = np.flatnonzero(budgets < top * (1.0 - 1e-12))
+    if inner.size:
+        log_slopes = np.log(slopes)
+        u = np.log(solve_lambda(value, theta1, budgets[inner]))
+        y = _breakpoints(log_slopes, u, theta1)
+        alt_values[inner] = _alternative_values(value, knots.size, y, theta1)
+        keep, step_values = _merge_pattern(knots, log_slopes, theta1)
+        for i, row in zip(inner.tolist(), y[:, keep]):
+            updates[i] = LicenseFn(row.tolist(), step_values)
+    return tuple(updates), alt_values
 
 
 def optimal_step(
     value: PLCValue, theta1: float, budget: float
 ) -> tuple[LicenseFn, float]:
-    """Best one-step update of the license under next-stage values ``value``.
-
-    ``value`` is the concave nondecreasing hull of the next round's value
-    table (lossless for the optimum), built once per round by the caller.
-    The multiplier is solved so the update's null expectation equals
-    ``budget``, and the step function plus its expected hull value under
-    the alternative are returned. A budget at or above the top reachable
-    knot degenerates to the constant top update with slack budget.
-    """
-    if not theta1 > 0.0:
-        raise ValueError(f"theta1 must be positive, got {theta1}")
-    if not 0.0 < budget:
-        raise ValueError(f"budget must be positive, got {budget}")
-    knots, slopes = _positive_slope_prefix(value)
-    if knots.size == 0:
-        # Flat value function: nothing to optimize, never spend.
-        return LicenseFn([], [0.0]), float(value.values[0])
-    top = float(knots[-1])
-    if budget >= top * (1.0 - 1e-12):
-        return LicenseFn([], [top]), float(value(top))
-    lam = solve_lambda(value, theta1, budget)
-    y = _breakpoints(slopes, lam, theta1)
-    return _assemble_update(knots, y), alternative_value_of_update(value, lam, theta1)
+    """Best one-step update for a single budget; see optimal_steps."""
+    updates, alt_values = optimal_steps(value, theta1, [budget])
+    return updates[0], float(alt_values[0])

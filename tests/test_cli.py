@@ -166,6 +166,12 @@ class TestFdaCommand:
         assert rows == []
         assert header[0] == "protocol"
 
+    def test_cost_below_a_thousand_rounding_exits_config(self, tmp_path, capsys):
+        # money is integer thousands: a $400 trial would be audited as free
+        code = main(["fda-audit", "--out", str(tmp_path / "fda"), "--param", "cost=400"])
+        assert code == EXIT_CONFIG
+        assert "trial cost 400" in capsys.readouterr().err
+
     def test_reference_deviation_exit_code(self, tmp_path, monkeypatch):
         # tampering with the committed verdicts must be caught on a default run
         import evcontracts.fda as fda
@@ -284,6 +290,17 @@ class TestMultiroundCommand:
     def test_empty_caps_rejected(self, tmp_path):
         code = main(["multiround", "--out", str(tmp_path), "--param", "caps="])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("key, value", (("caps", "1,5,1"), ("theta_grid", "1.645,1.645")))
+    def test_repeated_grid_value_rejected(self, tmp_path, capsys, key, value):
+        # a repeat would solve and write the same cell twice
+        code = main(
+            ["multiround", "--out", str(tmp_path), "--reps", "10", "--param", "levels=4",
+             "--param", f"{key}={value}"]
+        )
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_five_data_agent_reaches_cap_at_focal_effect(self, tmp_path):
         out = tmp_path / "m"

@@ -5,17 +5,20 @@ import pytest
 
 from evcontracts import (
     GaussianModel,
+    LicenseFn,
     np_best_response,
     null_expectation,
     upper_tail,
     upper_tail_inverse,
 )
+from evcontracts.gaussian import upper_tail_np
 from evcontracts.multiround import (
     DiscretizedEvidence,
     LicenseGrid,
     backward_induction,
     concave_monotone_hull,
     dp,
+    optimizer,
 )
 
 NULL = GaussianModel(0.0)
@@ -55,6 +58,113 @@ class TestHullPerRound:
         monkeypatch.setattr(dp, "concave_monotone_hull", counted)
         backward_induction(3, 0.1, 1.0, LicenseGrid.from_cap(1.0, 20))
         assert calls == [21, 21, 21]
+
+    def test_one_multiplier_solve_per_round(self, monkeypatch):
+        # every level's budget of a round goes through a single solve
+        sizes = []
+        solve = optimizer.solve_lambda
+
+        def counted(v, theta, budget):
+            sizes.append(np.size(budget))
+            return solve(v, theta, budget)
+
+        monkeypatch.setattr(optimizer, "solve_lambda", counted)
+        backward_induction(3, 0.1, 1.0, LicenseGrid.from_cap(1.0, 20))
+        assert len(sizes) == 3
+        assert all(size > 1 for size in sizes)
+
+
+def _oracle_lambda(slopes, increments, theta, budget):
+    """Per-level solve: scalar bisection of the null spend in log lambda,
+    from a bracket widened geometrically, to LAMBDA_REL_TOL."""
+    tol = optimizer.LAMBDA_REL_TOL
+
+    def spend(lam):
+        y = theta / 2.0 - np.log(slopes / lam) / theta
+        return float(np.dot(increments, upper_tail_np(y)))
+
+    lo, hi = 1e-6, 1e6
+    while spend(lo) < budget:
+        lo *= 1e-2
+    while spend(hi) > budget:
+        hi *= 1e2
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        value = spend(mid)
+        if abs(value - budget) <= tol * budget:
+            return mid
+        if value > budget:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError(f"oracle bisection missed budget {budget}")
+
+
+def _oracle_step(hull, theta, budget):
+    """Per-level optimal step: scalar multiplier, breakpoints merged one by
+    one, alternative value from its own tail sum."""
+    slopes = hull.left_slopes()
+    n = int(np.sum(slopes > 0.0))
+    knots, slopes = hull.knots[1 : n + 1], slopes[:n]
+    if n == 0:
+        return LicenseFn([], [0.0]), float(hull.values[0])
+    top = float(knots[-1])
+    if budget >= top * (1.0 - 1e-12):
+        return LicenseFn([], [top]), float(hull(top))
+    lam = _oracle_lambda(slopes, np.diff(np.concatenate(([0.0], knots))), theta, budget)
+    y = theta / 2.0 - np.log(slopes / lam) / theta
+    breaks, values = [], [0.0]
+    for knot, yk in zip(knots, y):
+        if breaks and yk - breaks[-1] <= 1e-12:
+            values[-1] = knot
+        else:
+            breaks.append(float(yk))
+            values.append(float(knot))
+    alt = float(hull.values[0]) + float(
+        np.dot(np.diff(hull.values[: n + 1]), upper_tail_np(y - theta))
+    )
+    return LicenseFn(breaks, values), alt
+
+
+def _oracle_backward_induction(horizon, cost, theta, grid):
+    """Backward induction solving one level at a time: (tables, actions)."""
+    levels = grid.level_values()
+    value = np.minimum(levels, grid.cap)
+    tables, actions = [value], []
+    for _ in range(horizon):
+        hull = concave_monotone_hull(levels, value)
+        previous = np.empty_like(value)
+        row = []
+        for i, level in enumerate(levels):
+            update, alt = _oracle_step(hull, theta, level + cost)
+            continuation = alt - cost
+            previous[i] = continuation if continuation > level else level
+            row.append(update if continuation > level else None)
+        tables.append(previous)
+        actions.append(row)
+        value = previous
+    return tables[::-1], actions[::-1]
+
+
+class TestBatchedRoundAgainstPerLevelOracle:
+    @pytest.mark.parametrize("levels", (1, 7, 100))
+    @pytest.mark.parametrize("theta", (0.05, 0.5, 1.645, 3.0, 5.0, 8.0))
+    @pytest.mark.parametrize("cap", (1.0, 5.0))
+    def test_every_level_matches(self, cap, theta, levels):
+        grid = LicenseGrid.from_cap(cap, levels)
+        policy = backward_induction(3, 0.1, theta, grid)
+        tables, actions = _oracle_backward_induction(3, 0.1, theta, grid)
+        for got, want in zip(policy.value_tables, tables):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+        for got_row, want_row in zip(policy.actions, actions):
+            for got, want in zip(got_row, want_row):
+                assert (got is None) == (want is None)
+                if got is None:
+                    continue
+                assert got.values == want.values
+                np.testing.assert_allclose(
+                    got.breakpoints, want.breakpoints, rtol=0.0, atol=1e-8
+                )
 
 
 class TestDegenerateCases:

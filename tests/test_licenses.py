@@ -74,6 +74,23 @@ class TestLicenseFn:
         with pytest.raises(ValueError):
             LicenseFn([math.inf], [0.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "breakpoints, values, message",
+        (
+            ([0.0], [1.0], "one value per interval"),
+            ([1.0, 1.0], [0.0, 1.0, 2.0], "strictly increasing"),
+            ([1.0, 0.5], [0.0, 1.0, 2.0], "strictly increasing"),
+            ([math.nan], [0.0, 1.0], "finite"),
+            ([0.0, math.nan], [0.0, 1.0, 2.0], "finite"),
+            ([-math.inf], [0.0, 1.0], "finite"),
+            ([0.0], [-1.0, 0.5], "nonnegative"),
+            ([0.0, 1.0], [0.0, 2.0, 1.0], "nondecreasing"),
+        ),
+    )
+    def test_validation_messages(self, breakpoints, values, message):
+        with pytest.raises(ValueError, match=message):
+            LicenseFn(breakpoints, values)
+
     def test_approval_threshold(self):
         assert status_quo_license(1.0).approval_threshold() == pytest.approx(
             1.6448536269514722, abs=1e-9

@@ -14,6 +14,7 @@ from evcontracts.multiround import (
     max_spendable,
     null_expectation_of_update,
     optimal_step,
+    optimal_steps,
     optimizer,
     pointwise_update,
     solve_lambda,
@@ -188,6 +189,26 @@ class TestSolveLambda:
         with pytest.raises(RuntimeError, match="budget 0.3 .* residual"):
             solve_lambda(v, 1.0, 0.3)
 
+    def test_vector_budgets_equal_scalar_calls(self):
+        # theta 8 at cap 5 needs multipliers outside [1e-6, 1e6] on both sides
+        for v, theta in ((sqrt_value(4.0, 50), 1.0), (PLCValue([0.0, 5.0], [0.0, 5.0]), 8.0)):
+            budgets = np.array([1e-8, 0.01, 0.1, 0.5, 1.0, 3.0, 3.99])
+            lams = solve_lambda(v, theta, budgets)
+            assert lams.shape == budgets.shape
+            scalars = [solve_lambda(v, theta, float(b)) for b in budgets]
+            assert all(isinstance(lam, float) for lam in scalars)
+            assert lams.tolist() == scalars
+            for lam, budget in zip(lams, budgets):
+                spend = null_expectation_of_update(v, lam, theta)
+                assert spend == pytest.approx(budget, rel=1e-11)
+
+    def test_vector_budget_validation(self):
+        v = PLCValue([0.0, 2.0], [0.0, 1.5])
+        with pytest.raises(InfeasibleBudgetError, match="budget 2.5"):
+            solve_lambda(v, 1.0, np.array([0.5, 2.5]))
+        with pytest.raises(ValueError, match="budget must be positive"):
+            solve_lambda(v, 1.0, np.array([0.5, 0.0]))
+
     def test_max_spendable(self):
         assert max_spendable(PLCValue([0.0, 2.0], [0.0, 1.5])) == 2.0
         # flat tail is not spendable
@@ -302,6 +323,22 @@ class TestOptimalStep:
                 for p, v in zip(_outcome_probs(update, theta), update.values)
             )
             assert gained <= best + 1e-9
+
+    def test_flat_value_never_spends(self):
+        flat = PLCValue([0.0, 1.0, 2.0], [0.3, 0.3, 0.3])
+        updates, values = optimal_steps(flat, 1.0, [0.1, 0.5, 5.0])
+        assert updates == (LicenseFn([], [0.0]),) * 3
+        assert values.tolist() == [0.3, 0.3, 0.3]
+
+    def test_batch_equals_single_budgets(self):
+        rng = np.random.default_rng(5)
+        grid = LicenseGrid.from_cap(1.0, 30)
+        v_next = np.concatenate(([0.0], np.cumsum(rng.uniform(0.0, 0.1, 30))))
+        hull = concave_monotone_hull(grid.level_values(), v_next)
+        budgets = [0.05, 0.3, 0.7, 1.0, 2.0]
+        updates, values = optimal_steps(hull, 0.8, budgets)
+        for budget, update, value in zip(budgets, updates, values):
+            assert optimal_step(hull, 0.8, budget) == (update, value)
 
     def test_infeasible_budget_propagates(self):
         grid = LicenseGrid.from_cap(1.0, 10)
