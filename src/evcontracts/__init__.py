@@ -17,12 +17,8 @@ from .gaussian import (
     upper_tail_inverse,
 )
 from .licenses import (
-    AnalyticEValue,
-    ClampedValue,
-    EVALUE_CLAMP,
     LicenseFn,
     Menu,
-    analytic_evalue_value,
     constant_license,
     is_evalue,
     is_incentive_aligned,
@@ -32,7 +28,6 @@ from .single_round import (
     AgentDecision,
     Contract,
     agent_decide,
-    expected_license,
     np_best_response,
     posterior_null_share,
     status_quo_license,

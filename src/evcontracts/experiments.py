@@ -18,8 +18,8 @@ import numpy as np
 
 from .fda import audit_table, builtin_protocols, matches_reference
 from .gaussian import GaussianModel, RandomStream, sample_normal, upper_tail_inverse
-from .licenses import Menu
-from .single_round import Contract, expected_license, np_best_response
+from .licenses import Menu, null_expectation
+from .single_round import Contract, np_best_response
 from .svgplot import render_lines
 from .welfare import HIGH_SEVERITY, LOW_SEVERITY, welfare_curve
 from .multiround import (
@@ -208,6 +208,8 @@ def run_welfare(config: ExperimentConfig) -> RunResult:
     n = config["grid_points"]
     if n < 1:
         raise ConfigError("grid_points must be at least 1")
+    if config["theta1"] <= 0.0:
+        raise ConfigError("theta1 must be positive: it is the non-null type")
     pi0_grid = [0.0] if n == 1 else [i / (n - 1) for i in range(n)]
     panels = [
         ("a", config["ratio_a"], config["severity_a"]),
@@ -260,6 +262,8 @@ def run_evalue_growth(config: ExperimentConfig) -> RunResult:
     n_max, reps = config["n_max"], config["reps"]
     if n_max < 1 or reps < 2:
         raise ConfigError("need n_max >= 1 and reps >= 2")
+    if config["paths_out"] < 0:
+        raise ConfigError("paths_out must be nonnegative")
     seed = config["seed"]
 
     def log_paths(mean: float, stream_index: int) -> np.ndarray:
@@ -322,6 +326,10 @@ def run_fda_audit(config: ExperimentConfig) -> RunResult:
     """Expected value of a placebo trial across protocols and market sizes."""
     config.output_dir.mkdir(parents=True, exist_ok=True)
     result = RunResult()
+    if not config["profits"]:
+        raise ConfigError("profits must list at least one market profit")
+    if min(config["profits"]) <= 0.0:
+        raise ConfigError("profits must be positive")
     rows = audit_table(
         builtin_protocols(), config["profits"], config["cost"], config["band"]
     )
@@ -415,10 +423,10 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
         raise ConfigError("reps must be at least 2")
     if config["horizon"] < 1 or config["levels"] < 1:
         raise ConfigError("horizon and levels must be at least 1")
-    if not config["caps"]:
-        raise ConfigError("caps must list at least one market cap")
     for key in ("caps", "theta_grid"):
         values = config[key]
+        if not values:
+            raise ConfigError(f"{key} must list at least one value")
         if len(set(values)) != len(values):
             raise ConfigError(f"{key} lists a value more than once: {values}")
     if config["theta_star"] <= 0.0:
@@ -537,7 +545,7 @@ def run_best_response(config: ExperimentConfig) -> RunResult:
         threshold = upper_tail_inverse(ratio)
         for theta1 in config["theta_grid"]:
             f = np_best_response(0.0, theta1, ratio * cap, cap)
-            power = expected_license(f, GaussianModel(theta1)) / cap
+            power = null_expectation(f, GaussianModel(theta1)) / cap
             rows.append((ratio, theta1, threshold, power, cap * power - ratio * cap))
     path = config.output_dir / "best_response.csv"
     write_csv(

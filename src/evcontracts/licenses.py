@@ -16,16 +16,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .gaussian import GaussianModel, upper_tail
-
-# Analytic e-values are exponential in the evidence sum; values above this
-# cap are clamped and flagged rather than allowed to overflow.
-EVALUE_CLAMP = 1e300
-_LOG_CLAMP = math.log(EVALUE_CLAMP)
 
 
 @dataclass(frozen=True)
@@ -57,7 +52,11 @@ class LicenseFn:
             raise ValueError("breakpoints must be strictly increasing")
         if not all(map(math.isfinite, breaks)):
             raise ValueError("breakpoints must be finite")
-        if any(map((0.0).__gt__, vals)):
+        # 0 <= v is false for NaN too; values are checked nondecreasing
+        # next, so +inf can only sit in the last one
+        if not all(map((0.0).__le__, vals)) or vals[-1] == math.inf:
+            if not all(map(math.isfinite, vals)):
+                raise ValueError("license values must be finite")
             raise ValueError("license values must be nonnegative")
         if any(map(operator.lt, vals[1:], vals)):
             raise ValueError("license values must be nondecreasing in z")
@@ -79,48 +78,9 @@ class LicenseFn:
                 return -math.inf if k == 0 else self.breakpoints[k - 1]
         return math.inf
 
-    def to_text(self) -> str:
-        """Serialize as ``breakpoints;values`` with round-trip-exact reals."""
-        return "{};{}".format(
-            ",".join(repr(b) for b in self.breakpoints),
-            ",".join(repr(v) for v in self.values),
-        )
-
-    @staticmethod
-    def from_text(text: str) -> "LicenseFn":
-        head, _, tail = text.partition(";")
-        breaks = [float(tok) for tok in head.split(",") if tok]
-        values = [float(tok) for tok in tail.split(",") if tok]
-        return LicenseFn(breaks, values)
-
 
 def constant_license(value: float) -> LicenseFn:
     return LicenseFn([], [value])
-
-
-@dataclass(frozen=True)
-class AnalyticEValue:
-    """Closed-form e-value exp(theta1 * sum(z) - n * theta1^2 / 2)."""
-
-    theta1: float
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be nonnegative, got {self.n}")
-
-
-class ClampedValue(NamedTuple):
-    value: float
-    clamped: bool
-
-
-def analytic_evalue_value(e: AnalyticEValue, z_sum: float) -> ClampedValue:
-    """Evaluate the analytic e-value, clamping overflow at EVALUE_CLAMP."""
-    exponent = e.theta1 * z_sum - e.n * e.theta1**2 / 2.0
-    if exponent > _LOG_CLAMP:
-        return ClampedValue(EVALUE_CLAMP, True)
-    return ClampedValue(math.exp(exponent), False)
 
 
 @dataclass(frozen=True)
@@ -154,17 +114,19 @@ class Menu:
         return self.licenses is not None
 
 
-def null_expectation(f: LicenseFn, null: GaussianModel) -> float:
-    """E[f(Z)] for Z ~ null, exact via normal tails.
+def null_expectation(f: LicenseFn, model: GaussianModel) -> float:
+    """E[f(Z)] for Z ~ model, exact via normal tails; any Gaussian model.
 
-    Written as sum over value increments times tail probabilities, which uses
-    only nonnegative terms and one tail evaluation per breakpoint.
+    The null model gives the e-value checks below; an agent's own model gives
+    its expected payout. Written as sum over value increments times tail
+    probabilities, which uses only nonnegative terms and one tail evaluation
+    per breakpoint.
     """
     total = f.values[0]
     for k, b in enumerate(f.breakpoints):
         step = f.values[k + 1] - f.values[k]
         if step != 0.0:
-            total += step * upper_tail((b - null.mean) / null.sd)
+            total += step * upper_tail((b - model.mean) / model.sd)
     return total
 
 

@@ -18,7 +18,6 @@ from .discrete import DiscretizedEvidence, optimal_step_discrete
 from .dp import DPPolicy, backward_induction
 from .simulate import (
     EpisodeBatch,
-    EpisodeRecord,
     RandomizedAlignedStrategy,
     SingleStageStrategy,
     StrategyAction,
@@ -49,7 +48,6 @@ __all__ = [
     "DPPolicy",
     "backward_induction",
     "EpisodeBatch",
-    "EpisodeRecord",
     "RandomizedAlignedStrategy",
     "SingleStageStrategy",
     "StrategyAction",

@@ -75,12 +75,6 @@ class LicenseGrid:
     def level_values(self) -> np.ndarray:
         return np.arange(self.levels + 1) * self.epsilon
 
-    def index_of(self, value: float) -> int:
-        idx = round(value / self.epsilon)
-        if not math.isclose(idx * self.epsilon, value, rel_tol=0.0, abs_tol=1e-9 * self.cap):
-            raise ValueError(f"{value} is not a grid level")
-        return idx
-
 
 def _positive_slope_prefix(v: PLCValue) -> tuple[np.ndarray, np.ndarray]:
     """(knot values, slopes) of the knots actually reachable by the optimizer.

@@ -26,24 +26,8 @@ from ..licenses import LicenseFn, null_expectation
 from .dp import DPPolicy
 
 
-@dataclass(frozen=True)
-class EpisodeRecord:
-    """One episode: per-round histories up to the exit round tau."""
-
-    costs_paid: tuple[float, ...]
-    withdrawals: tuple[float, ...]
-    indicators: tuple[bool, ...]
-    evidence: tuple[float, ...]
-    licenses: tuple[float, ...]
-    tau: int
-    terminal_license: float
-    total_cost: float
-    total_withdrawal: float
-    profit: float
-
-
-class EpisodeBatch(Sequence[EpisodeRecord]):
-    """Columnar storage for many episodes; behaves as a sequence of records.
+class EpisodeBatch:
+    """Columnar storage for many episodes: one row per episode.
 
     Per-round arrays have one column per round; license and cumulative
     columns are frozen at their exit values past an episode's tau.
@@ -77,21 +61,6 @@ class EpisodeBatch(Sequence[EpisodeRecord]):
 
     def __len__(self) -> int:
         return len(self.tau)
-
-    def __getitem__(self, r: int) -> EpisodeRecord:
-        t = int(self.tau[r])
-        return EpisodeRecord(
-            costs_paid=tuple(self.costs_paid[r, :t]),
-            withdrawals=tuple(self.withdrawals[r, :t]),
-            indicators=tuple(bool(i) for i in self.indicators[r, :t]),
-            evidence=tuple(self.evidence[r, :t]),
-            licenses=tuple(self.licenses[r, :t]),
-            tau=t,
-            terminal_license=float(self.terminal_license[r]),
-            total_cost=float(self.total_cost[r]),
-            total_withdrawal=float(self.total_withdrawal[r]),
-            profit=float(self.profit[r]),
-        )
 
     def net_profit_paths(self) -> np.ndarray:
         """N(t) per episode and stage, frozen past each episode's tau."""

@@ -87,11 +87,6 @@ def status_quo_license(cap: float) -> LicenseFn:
     return LicenseFn([upper_tail_inverse(STATUS_QUO_LEVEL)], [0.0, cap])
 
 
-def expected_license(f: LicenseFn, model: GaussianModel) -> float:
-    """E[f(Z)] for Z ~ model; exact tail arithmetic, any Gaussian model."""
-    return null_expectation(f, model)
-
-
 def agent_decide(theta: float, contract: Contract) -> AgentDecision:
     """Best response of a type-theta agent, with strict opt-in.
 
@@ -107,7 +102,7 @@ def agent_decide(theta: float, contract: Contract) -> AgentDecision:
         if theta <= 0.0:
             return AgentDecision(False, None, 0.0)
         best = np_best_response(0.0, theta, contract.cost, contract.cap)
-        profit = expected_license(best, GaussianModel(theta)) - contract.cost
+        profit = null_expectation(best, GaussianModel(theta)) - contract.cost
         if profit > 0.0:
             return AgentDecision(True, best, profit)
         return AgentDecision(False, None, 0.0)
@@ -118,7 +113,7 @@ def agent_decide(theta: float, contract: Contract) -> AgentDecision:
     best_value = -math.inf
     best_null = math.inf
     for f in menu.licenses:
-        value = expected_license(f, model)
+        value = null_expectation(f, model)
         tie_break = null_expectation(f, null)
         if value > best_value or (value == best_value and tie_break < best_null):
             best_f, best_value, best_null = f, value, tie_break

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .gaussian import GaussianModel, upper_tail
-from .licenses import Menu
-from .single_round import Contract, agent_decide, expected_license, status_quo_license
+from .licenses import Menu, null_expectation
+from .single_round import Contract, agent_decide, status_quo_license
 
 _WEIGHT_TOL = 1e-12
 
@@ -105,7 +105,7 @@ def expected_market_size(mixture: TypeMixture, contract: Contract) -> float:
     for theta, w in mixture.atoms:
         decision = agent_decide(theta, contract)
         if decision.opted_in:
-            total += w * expected_license(decision.chosen_license, GaussianModel(theta))
+            total += w * null_expectation(decision.chosen_license, GaussianModel(theta))
     return total
 
 

@@ -65,6 +65,25 @@ class TestConfigParsing:
         assert code == EXIT_CONFIG
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        (
+            ("welfare", "theta1", "-1"),
+            ("welfare", "theta1", "0"),
+            ("evalue-growth", "paths_out", "-3"),
+            ("fda-audit", "profits", "-1e9"),
+            ("fda-audit", "profits", ","),
+            ("multiround", "theta_grid", ","),
+        ),
+    )
+    def test_out_of_range_value_exits_config(
+        self, tmp_path, capsys, command, key, value
+    ):
+        code = main([command, "--out", str(tmp_path), "--param", f"{key}={value}"])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
 
 class TestWelfareCommand:
     def test_default_structure(self, tmp_path):
@@ -158,13 +177,12 @@ class TestFdaCommand:
         assert int(row[4]) == 30_000_000
         assert row[5] == "not_aligned"
 
-    def test_empty_profits(self, tmp_path):
+    def test_empty_profits(self, tmp_path, capsys):
         out = tmp_path / "fda"
         code = main(["fda-audit", "--out", str(out), "--param", "profits="])
-        assert code == EXIT_OK
-        header, rows = read_csv(out / "fda_audit.csv")
-        assert rows == []
-        assert header[0] == "protocol"
+        assert code == EXIT_CONFIG
+        assert "profits" in capsys.readouterr().err
+        assert not (out / "fda_audit.csv").exists()
 
     def test_cost_below_a_thousand_rounding_exits_config(self, tmp_path, capsys):
         # money is integer thousands: a $400 trial would be audited as free

@@ -88,6 +88,21 @@ class TestUpperTailInverse:
             bisection_tail_inverse(0.000625), abs=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "p, x",
+        (
+            # x: the 50-digit quantile rounded to the nearest double
+            (0.5, 0.0),
+            (0.05, 1.6448536269514726),
+            (0.025, 1.9599639845400543),
+            (0.002, 2.8781617390954835),
+            (0.000625, 3.2272184259631564),
+            (1e-10, 6.361340902404057),
+        ),
+    )
+    def test_accuracy(self, p, x):
+        assert abs(upper_tail_inverse(p) - x) <= 2e-15
+
     @pytest.mark.parametrize("p", [1.0, 0.0, -0.2, 1.7])
     def test_domain_errors(self, p):
         with pytest.raises(ValueError):

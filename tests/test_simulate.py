@@ -57,15 +57,6 @@ class TestSimulatePolicy:
         # cost ledger equals 0.1 per round actually run
         assert np.allclose(episodes.total_cost, 0.1 * episodes.indicators.sum(axis=1))
 
-    def test_record_view(self):
-        episodes = simulate_policy(POLICY, 1.2, 20, RandomStream(29, 0))
-        record = episodes[3]
-        assert record.tau == int(episodes.tau[3])
-        assert len(record.licenses) == record.tau
-        assert record.profit == pytest.approx(float(episodes.profit[3]))
-        if record.tau:
-            assert record.terminal_license == record.licenses[-1]
-
     def test_grid_levels_only(self):
         episodes = simulate_policy(POLICY, 1.2, 500, RandomStream(31, 0))
         scaled = episodes.licenses / GRID.epsilon
@@ -84,17 +75,16 @@ class TestSimulateStrategy:
         strategy = RandomizedAlignedStrategy.draw(rng, 4)
         episodes = simulate_strategy(strategy, 4, COSTS, 0.0, 400, RandomStream(43, 0))
         for r in range(0, 400, 37):
-            record = episodes[r]
             level = 0.0
-            for k in range(record.tau):
-                if record.indicators[k]:
+            for k in range(episodes.tau[r]):
+                if episodes.indicators[r, k]:
                     factor = strategy.factors[k]
-                    base = level + COSTS[k] - record.withdrawals[k]
-                    level = base * float(factor(record.evidence[k]))
+                    base = level + COSTS[k] - episodes.withdrawals[r, k]
+                    level = base * float(factor(episodes.evidence[r, k]))
                 else:
-                    level = level - record.withdrawals[k]
-                assert record.licenses[k] == pytest.approx(level, abs=1e-12)
-                assert record.withdrawals[k] >= 0.0
+                    level = level - episodes.withdrawals[r, k]
+                assert episodes.licenses[r, k] == pytest.approx(level, abs=1e-12)
+                assert episodes.withdrawals[r, k] >= 0.0
 
     def test_withdrawals_never_exceed_license(self):
         rng = np.random.default_rng(7)

@@ -11,7 +11,6 @@ from evcontracts import (
     Menu,
     agent_decide,
     constant_license,
-    expected_license,
     np_best_response,
     null_expectation,
     posterior_null_share,
@@ -82,16 +81,16 @@ class TestStatusQuo:
 class TestExpectedLicense:
     def test_status_quo_power(self):
         # frozen: tail(1.6448536... - 1)
-        power = expected_license(status_quo_license(1.0), GaussianModel(1.0))
+        power = null_expectation(status_quo_license(1.0), GaussianModel(1.0))
         assert power == pytest.approx(0.25951102284144406, abs=1e-10)
         assert power == pytest.approx(0.2595, abs=5e-5)
 
     def test_constant(self):
-        assert expected_license(constant_license(2.0), GaussianModel(-3.0)) == 2.0
+        assert null_expectation(constant_license(2.0), GaussianModel(-3.0)) == 2.0
 
     def test_np_under_null_returns_cost(self):
         f = np_best_response(0.0, 1.0, 0.05, 1.0)
-        assert expected_license(f, NULL) == pytest.approx(0.05, abs=1e-9)
+        assert null_expectation(f, NULL) == pytest.approx(0.05, abs=1e-9)
 
 
 class TestAgentDecide:
@@ -143,7 +142,7 @@ class TestAgentDecide:
         theta = 1.0
         step = LicenseFn([0.5], [0.0, 2.0])
         tied_constant = constant_license(
-            expected_license(step, GaussianModel(theta))
+            null_expectation(step, GaussianModel(theta))
         )
         contract = Contract(Menu.explicit([tied_constant, step], 0.5), 0.5, 3.0)
         decision = agent_decide(theta, contract)
@@ -178,7 +177,7 @@ class TestProperties:
         rng = np.random.default_rng(12)
         cost, cap, theta = 0.4, 3.0, 1.3
         best = np_best_response(0.0, theta, cost, cap)
-        best_value = expected_license(best, GaussianModel(theta))
+        best_value = null_expectation(best, GaussianModel(theta))
         for _ in range(200):
             n_breaks = int(rng.integers(1, 5))
             breaks = np.sort(rng.normal(0.0, 1.5, n_breaks))
@@ -189,7 +188,7 @@ class TestProperties:
             mass = null_expectation(g, NULL)
             if mass > cost:
                 g = g.scaled(cost / mass)  # rescale onto the aligned boundary
-            assert expected_license(g, GaussianModel(theta)) <= best_value + 1e-9
+            assert null_expectation(g, GaussianModel(theta)) <= best_value + 1e-9
 
     def test_larger_menus_never_hurt(self):
         rng = np.random.default_rng(99)
@@ -208,10 +207,10 @@ class TestProperties:
             superset = Menu.explicit(licenses, 0.5)
             cap = 100.0
             sub_best = max(
-                expected_license(f, GaussianModel(theta)) for f in subset.licenses
+                null_expectation(f, GaussianModel(theta)) for f in subset.licenses
             )
             sup_best = max(
-                expected_license(f, GaussianModel(theta)) for f in superset.licenses
+                null_expectation(f, GaussianModel(theta)) for f in superset.licenses
             )
             assert sup_best >= sub_best
 
