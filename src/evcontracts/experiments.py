@@ -203,23 +203,31 @@ _SEVERITIES = {"high": HIGH_SEVERITY, "low": LOW_SEVERITY}
 
 def run_welfare(config: ExperimentConfig) -> RunResult:
     """Principal utility vs null share, aligned menu against the status quo."""
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     result = RunResult()
     n = config["grid_points"]
     if n < 1:
         raise ConfigError("grid_points must be at least 1")
     if config["theta1"] <= 0.0:
         raise ConfigError("theta1 must be positive: it is the non-null type")
-    pi0_grid = [0.0] if n == 1 else [i / (n - 1) for i in range(n)]
+    if config["cost"] <= 0.0:
+        raise ConfigError(f"cost must be positive, got {config['cost']}")
     panels = [
         ("a", config["ratio_a"], config["severity_a"]),
         ("b", config["ratio_b"], config["severity_b"]),
     ]
     for label, ratio, severity_name in panels:
+        if not ratio > 1.0:
+            raise ConfigError(
+                f"ratio_{label} must exceed 1 (the cap is ratio_{label} times cost), "
+                f"got {ratio}"
+            )
         if severity_name not in _SEVERITIES:
             raise ConfigError(
-                f"severity must be 'high' or 'low', got {severity_name!r}"
+                f"severity_{label} must be 'high' or 'low', got {severity_name!r}"
             )
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    pi0_grid = [0.0] if n == 1 else [i / (n - 1) for i in range(n)]
+    for label, ratio, severity_name in panels:
         cost = config["cost"]
         contract = Contract(Menu.all_evalues(cost), cost, ratio * cost)
         rows = welfare_curve(
@@ -256,7 +264,6 @@ def run_evalue_growth(config: ExperimentConfig) -> RunResult:
     theta1^2/2 per observation; under the null the mean of E itself stays at
     one (martingale), which is what caps a bluffing agent.
     """
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     result = RunResult()
     theta1 = config["theta1"]
     n_max, reps = config["n_max"], config["reps"]
@@ -264,6 +271,7 @@ def run_evalue_growth(config: ExperimentConfig) -> RunResult:
         raise ConfigError("need n_max >= 1 and reps >= 2")
     if config["paths_out"] < 0:
         raise ConfigError("paths_out must be nonnegative")
+    config.output_dir.mkdir(parents=True, exist_ok=True)
     seed = config["seed"]
 
     def log_paths(mean: float, stream_index: int) -> np.ndarray:
@@ -324,12 +332,12 @@ def run_evalue_growth(config: ExperimentConfig) -> RunResult:
 
 def run_fda_audit(config: ExperimentConfig) -> RunResult:
     """Expected value of a placebo trial across protocols and market sizes."""
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     result = RunResult()
     if not config["profits"]:
         raise ConfigError("profits must list at least one market profit")
     if min(config["profits"]) <= 0.0:
         raise ConfigError("profits must be positive")
+    config.output_dir.mkdir(parents=True, exist_ok=True)
     rows = audit_table(
         builtin_protocols(), config["profits"], config["cost"], config["band"]
     )
@@ -416,21 +424,25 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
     honest agent of the focal effect would, against evidence from the true
     (null) effect, so alignment caps their mean profit at zero.
     """
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     result = RunResult()
     reps = config["reps"]
     if reps < 2:
         raise ConfigError("reps must be at least 2")
     if config["horizon"] < 1 or config["levels"] < 1:
         raise ConfigError("horizon and levels must be at least 1")
+    if config["cost"] <= 0.0:
+        raise ConfigError(f"cost must be positive, got {config['cost']}")
     for key in ("caps", "theta_grid"):
         values = config[key]
         if not values:
             raise ConfigError(f"{key} must list at least one value")
         if len(set(values)) != len(values):
             raise ConfigError(f"{key} lists a value more than once: {values}")
+    if min(config["caps"]) <= 0.0:
+        raise ConfigError(f"caps must be positive, got {config['caps']}")
     if config["theta_star"] <= 0.0:
         raise ConfigError("theta_star must be positive")
+    config.output_dir.mkdir(parents=True, exist_ok=True)
 
     stream_index = 0
     profit_files = []
@@ -535,13 +547,22 @@ def _write_star_outputs(config, result, policy, episodes, one, five) -> None:
 
 def run_best_response(config: ExperimentConfig) -> RunResult:
     """Closed-form best-response licenses across cost ratios and effects."""
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     result = RunResult()
     cap = config["cap"]
+    if cap <= 0.0:
+        raise ConfigError(f"cap must be positive, got {cap}")
+    for key in ("cost_ratios", "theta_grid"):
+        if not config[key]:
+            raise ConfigError(f"{key} must list at least one value")
+    if not all(0.0 < ratio < 1.0 for ratio in config["cost_ratios"]):
+        raise ConfigError(f"cost_ratios must lie in (0, 1), got {config['cost_ratios']}")
+    if min(config["theta_grid"]) <= 0.0:
+        raise ConfigError(
+            f"theta_grid must be positive (effects above the null), got {config['theta_grid']}"
+        )
+    config.output_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for ratio in config["cost_ratios"]:
-        if not 0.0 < ratio < 1.0:
-            raise ConfigError(f"cost ratios must lie in (0, 1), got {ratio}")
         threshold = upper_tail_inverse(ratio)
         for theta1 in config["theta_grid"]:
             f = np_best_response(0.0, theta1, ratio * cap, cap)

@@ -14,7 +14,7 @@ from .optimizer import (
     pointwise_update,
     solve_lambda,
 )
-from .discrete import DiscretizedEvidence, optimal_step_discrete
+from .discrete import DiscretizedEvidence, discrete_root_value
 from .dp import DPPolicy, backward_induction
 from .simulate import (
     EpisodeBatch,
@@ -44,7 +44,7 @@ __all__ = [
     "pointwise_update",
     "solve_lambda",
     "DiscretizedEvidence",
-    "optimal_step_discrete",
+    "discrete_root_value",
     "DPPolicy",
     "backward_induction",
     "EpisodeBatch",

@@ -5,22 +5,21 @@ When the evidence is restricted to finitely many cells, the one-step problem
 nondecreasing grid-valued updates) is a small combinatorial program. A
 nondecreasing update from n cells to K+1 license levels is a sorted tuple of
 K jump positions in {0..n} (position n means the level is never reached), so
-the whole family is enumerated and scored in one vectorized pass. This is
-the discretization used when the dynamic program must agree exactly with a
-brute-force policy search on the same grid.
+the whole family is enumerated once and scored against each round's value
+table in one vectorized pass. discrete_root_value is the discretization
+used when the dynamic program must agree exactly with a brute-force policy
+search on the same grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Sequence
 
 import numpy as np
 
 from ..gaussian import upper_tail_np
-from ..licenses import LicenseFn
 from .optimizer import LicenseGrid
 
 _FEASIBILITY_SLACK = 1e-12
@@ -62,68 +61,46 @@ class DiscretizedEvidence:
         return probs
 
 
-@lru_cache(maxsize=8)
-def _jump_combinations(n_cells: int, levels: int) -> np.ndarray:
-    """All sorted K-tuples of jump positions in {0..n_cells}, as an array."""
-    combos = np.fromiter(
-        (
-            j
-            for combo in combinations_with_replacement(range(n_cells + 1), levels)
-            for j in combo
-        ),
-        dtype=np.int64,
-    )
-    return combos.reshape(-1, levels)
-
-
-def _update_from_jumps(
-    jumps: np.ndarray, evidence: DiscretizedEvidence, grid: LicenseGrid
-) -> LicenseFn:
-    cells = np.arange(evidence.n_cells)
-    level_per_cell = np.searchsorted(jumps, cells, side="right")
-    edges = evidence.edges()
-    breaks = []
-    values = [grid.epsilon * level_per_cell[0]]
-    for c in range(1, evidence.n_cells):
-        if level_per_cell[c] != level_per_cell[c - 1]:
-            breaks.append(float(edges[c - 1]))
-            values.append(grid.epsilon * level_per_cell[c])
-    return LicenseFn(breaks, values)
-
-
-def optimal_step_discrete(
-    v_next: Sequence[float],
+def discrete_root_value(
+    horizon: int,
+    cost: float,
     theta1: float,
-    budget: float,
     grid: LicenseGrid,
     evidence: DiscretizedEvidence,
-) -> tuple[LicenseFn, float]:
-    """Exact best nondecreasing grid-valued update on the evidence cells.
+) -> float:
+    """Root value of the license game with evidence restricted to the cells.
 
-    Returns the update and its expected next-stage value under the
-    alternative; the null budget constraint may bind with slack since the
-    feasible set is finite.
+    Backward induction as in ``backward_induction``, but each round's
+    one-step problem is solved exactly: every nondecreasing grid-valued
+    update on the cells is scored, and the best one whose null spend fits a
+    level's budget (level plus cost, with slack since the feasible set is
+    finite) is that level's continuation. The updates, their null spends
+    and their level-reaching probabilities under the alternative do not
+    depend on the round, so they are built once.
     """
-    v_next = np.asarray(v_next, dtype=float)
-    if v_next.shape != (grid.levels + 1,):
-        raise ValueError(
-            f"v_next must be tabulated on all {grid.levels + 1} grid levels"
-        )
-    p0 = evidence.cell_probabilities(0.0)
-    p1 = evidence.cell_probabilities(theta1)
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    if not cost > 0.0:
+        raise ValueError(f"round cost must be positive, got {cost}")
     # Suffix sums indexed by jump position: S[j] = P(cell >= j); S[n] = 0.
-    s0 = np.concatenate((np.cumsum(p0[::-1])[::-1], [0.0]))
-    s1 = np.concatenate((np.cumsum(p1[::-1])[::-1], [0.0]))
-
-    combos = _jump_combinations(evidence.n_cells, grid.levels)
-    spend = grid.epsilon * s0[combos].sum(axis=1)
-    feasible = spend <= budget + _FEASIBILITY_SLACK
-    # The all-(n)-jumps row (constant zero update) is always feasible.
-    value_steps = np.diff(v_next)
-    objective = v_next[0] + (value_steps[np.newaxis, :] * s1[combos]).sum(axis=1)
-    objective = np.where(feasible, objective, -np.inf)
-    best = int(np.argmax(objective))
-    return (
-        _update_from_jumps(combos[best], evidence, grid),
-        float(objective[best]),
+    s0, s1 = (
+        np.concatenate((np.cumsum(p[::-1])[::-1], [0.0]))
+        for p in (evidence.cell_probabilities(0.0), evidence.cell_probabilities(theta1))
     )
+    # every update as its sorted K-tuple of jump positions in {0..n}
+    jumps = combinations_with_replacement(range(evidence.n_cells + 1), grid.levels)
+    combos = np.array(list(jumps), dtype=np.int64)
+    # The all-(n)-jumps row (constant zero update) spends nothing, so every
+    # budget has a feasible update.
+    spend = grid.epsilon * s0[combos].sum(axis=1)
+    reach = s1[combos]  # reach[c, k]: P_theta1(update c pays level k + 1 or more)
+    levels = grid.level_values()
+    value = np.minimum(levels, grid.cap)
+    for _ in range(horizon):
+        objective = value[0] + (np.diff(value)[np.newaxis, :] * reach).sum(axis=1)
+        best = np.array(
+            [objective[spend <= level + cost + _FEASIBILITY_SLACK].max() for level in levels]
+        )
+        continuation = best - cost
+        value = np.where(continuation > levels, continuation, levels)
+    return float(value[0])

@@ -7,6 +7,10 @@ null expectation may not exceed the old level plus the cost paid (the update
 divided by that budget is an e-value). Terminal reward is the license value
 capped at the grid top; costs are booked additively as they are paid, which
 is equivalent for profit-linear utility and keeps the state one-dimensional.
+
+The updates of all levels in a round share one step pattern and differ only
+in their multiplier, so the policy stores each round as one StepBatch plus a
+stop/continue mask instead of one update per level.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from ..licenses import LicenseFn
-from .discrete import DiscretizedEvidence, optimal_step_discrete
-from .optimizer import LicenseGrid, optimal_steps
+from .optimizer import LicenseGrid, StepBatch, optimal_steps
 from .values import concave_monotone_hull
 
 
@@ -27,17 +30,18 @@ class DPPolicy:
     """Stop/continue rule and license updates per (round, grid level).
 
     ``value_tables[t][i]`` is the best profit-to-go holding level i after t
-    completed rounds; ``actions[t-1][i]`` is the round-t update at level i, a
-    LicenseFn of the evidence, or None to stop. ``root_value`` is the value
+    completed rounds. ``updates[t-1]`` holds the round-t updates of every
+    level as one StepBatch (entry i is level i's update) and ``go[t-1][i]``
+    says whether level i continues in round t. ``root_value`` is the value
     of starting the game.
     """
 
     horizon: int
     grid: LicenseGrid
     costs: tuple[float, ...]
-    theta1: float
     value_tables: tuple[np.ndarray, ...]
-    actions: tuple[tuple[LicenseFn | None, ...], ...]
+    updates: tuple[StepBatch, ...]
+    go: tuple[np.ndarray, ...]
 
     @property
     def root_value(self) -> float:
@@ -45,28 +49,29 @@ class DPPolicy:
 
     def action(self, t: int, level_index: int) -> LicenseFn | None:
         """Update chosen in round t (1-based) at the given level, None = stop."""
-        return self.actions[t - 1][level_index]
+        if not self.go[t - 1][level_index]:
+            return None
+        return self.updates[t - 1][level_index]
 
     def export_text(self) -> str:
         """Policy table: t,level,action,z_breakpoints,grid_values,value."""
         lines = ["t,level,action,z_breakpoints,grid_values,value"]
         levels = self.grid.level_values()
-        # the updates of one round share their values; format them once
-        formatted_values: dict[tuple[float, ...], str] = {}
         for t in range(1, self.horizon + 1):
-            for i, level in enumerate(levels):
-                update = self.actions[t - 1][i]
-                value = self.value_tables[t - 1][i]
-                if update is None:
+            batch = self.updates[t - 1]
+            values = _join_12g(tuple(batch.values.tolist()))
+            top = _join_12g((float(batch.values[-1]),))
+            rows = zip(
+                levels, self.value_tables[t - 1], self.go[t - 1], batch.u, batch.breakpoints()
+            )
+            for level, value, go, u, breaks in rows:
+                if not go:
                     lines.append(f"{t},{level:.12g},stop,,,{value:.12g}")
+                elif u == -np.inf:
+                    lines.append(f"{t},{level:.12g},continue,,{top},{value:.12g}")
                 else:
-                    breaks = _join_12g(update.breakpoints)
-                    vals = formatted_values.get(update.values)
-                    if vals is None:
-                        vals = formatted_values[update.values] = _join_12g(update.values)
-                    lines.append(
-                        f"{t},{level:.12g},continue,{breaks},{vals},{value:.12g}"
-                    )
+                    breaks = _join_12g(tuple(breaks.tolist()))
+                    lines.append(f"{t},{level:.12g},continue,{breaks},{values},{value:.12g}")
         return "\n".join(lines) + "\n"
 
 
@@ -92,17 +97,13 @@ def backward_induction(
     costs: float | Sequence[float],
     theta1: float,
     grid: LicenseGrid,
-    evidence: DiscretizedEvidence | None = None,
 ) -> DPPolicy:
     """Solve the finite-horizon license game for a type-theta1 agent.
 
-    With ``evidence`` None the per-round optimization uses the analytic
-    Gaussian-tail optimizer: the concave nondecreasing hull of the next
-    round's value table is built once per round and the budgets of all
-    levels are solved against it together, in one bracketed Newton pass.
-    Otherwise evidence is restricted to the given cells and each one-step
-    problem is solved exactly by enumeration, which is the mode comparable
-    against brute-force policy search.
+    The per-round optimization uses the analytic Gaussian-tail optimizer:
+    the concave nondecreasing hull of the next round's value table is built
+    once per round and the budgets of all levels are solved against it
+    together, in one bracketed Newton pass.
 
     Stopping keeps the current level, so continuation is chosen only when it
     is strictly better.
@@ -119,33 +120,24 @@ def backward_induction(
 
     value = np.minimum(levels, cap)
     tables = [value]
-    actions_rev: list[tuple[LicenseFn | None, ...]] = []
+    rounds: list[tuple[StepBatch, np.ndarray]] = []
     for t in range(horizon, 0, -1):
         cost = round_costs[t - 1]
-        if evidence is None:
-            updates, alt_values = optimal_steps(
-                concave_monotone_hull(levels, value), theta1, levels + cost
-            )
-        else:
-            updates, alt_values = zip(
-                *(
-                    optimal_step_discrete(value, theta1, level + cost, grid, evidence)
-                    for level in levels
-                )
-            )
-        continuation = np.asarray(alt_values) - cost
+        batch, alt_values = optimal_steps(
+            concave_monotone_hull(levels, value), theta1, levels + cost
+        )
+        continuation = alt_values - cost
         go = continuation > levels
         value = np.where(go, continuation, levels)
         tables.append(value)
-        actions_rev.append(
-            tuple(update if g else None for update, g in zip(updates, go.tolist()))
-        )
+        rounds.append((batch, go))
 
+    updates, go = zip(*reversed(rounds))
     return DPPolicy(
         horizon=horizon,
         grid=grid,
         costs=round_costs,
-        theta1=theta1,
         value_tables=tuple(reversed(tables)),
-        actions=tuple(reversed(actions_rev)),
+        updates=updates,
+        go=go,
     )

@@ -17,8 +17,10 @@ Newton iteration in u.
 
 Every function here takes the value function as a PLCValue. The dynamic
 program builds that hull once per round and solves every grid level of the
-round against it in one vectorized pass (optimal_steps); the updates are
-LicenseFn step functions of z.
+round against it in one vectorized pass (optimal_steps). The gaps between
+breakpoints do not depend on lambda, so the round's updates are kept as one
+StepBatch: the shared step values and log-slopes plus one log-multiplier per
+level, from which a LicenseFn step function of z is built only on demand.
 """
 
 from __future__ import annotations
@@ -281,9 +283,39 @@ def _merge_pattern(
     return keep, values
 
 
+@dataclass(frozen=True, eq=False)
+class StepBatch:
+    """The optimal updates of a batch of budgets, stored as one step pattern.
+
+    Update i pays the shared step ``values`` on the intervals cut by its
+    breakpoints y[i, k] = theta/2 - (log_slopes[k] - u[i]) / theta, so it is
+    fixed by its log-multiplier u[i] alone; u[i] = -inf marks the constant
+    update values[-1]. Indexing builds update i as a LicenseFn; ``evaluate``
+    applies it without building one.
+    """
+
+    theta: float
+    log_slopes: np.ndarray
+    values: np.ndarray
+    u: np.ndarray
+
+    def breakpoints(self, rows=slice(None)) -> np.ndarray:
+        """Breakpoint matrix of the given rows; rows with u = -inf are -inf."""
+        return _breakpoints(self.log_slopes, self.u[rows], self.theta)
+
+    def __getitem__(self, i: int) -> LicenseFn:
+        if self.u[i] == -math.inf:
+            return LicenseFn([], [self.values[-1]])
+        return LicenseFn(self.breakpoints([i])[0].tolist(), self.values.tolist())
+
+    def evaluate(self, i: int, z):
+        """Update i at the evidence z, equal to ``self[i](z)``."""
+        return self.values[np.searchsorted(self.breakpoints([i])[0], z, side="right")]
+
+
 def optimal_steps(
     value: PLCValue, theta1: float, budgets
-) -> tuple[tuple[LicenseFn, ...], np.ndarray]:
+) -> tuple[StepBatch, np.ndarray]:
     """Best one-step updates of the license, one per budget, under next-stage
     values ``value``.
 
@@ -291,9 +323,9 @@ def optimal_steps(
     table (lossless for the optimum), built once per round by the caller.
     Each budget's multiplier is solved so its update's null expectation
     equals the budget; all budgets share one multiplier solve. Returns the
-    step functions and their expected hull values under the alternative. A
-    budget at or above the top reachable knot degenerates to the constant
-    top update with slack budget.
+    updates and their expected hull values under the alternative. A budget
+    at or above the top reachable knot degenerates to the constant top
+    update with slack budget.
     """
     if not theta1 > 0.0:
         raise ValueError(f"theta1 must be positive, got {theta1}")
@@ -304,29 +336,23 @@ def optimal_steps(
     if bad.any():
         raise ValueError(f"budget must be positive, got {float(budgets[bad][0])}")
     knots, slopes = _positive_slope_prefix(value)
-    if knots.size == 0:
-        # Flat value function: nothing to optimize, never spend.
-        return (LicenseFn([], [0.0]),) * budgets.size, np.full(
-            budgets.size, float(value.values[0])
-        )
-    top = float(knots[-1])
-    updates = [LicenseFn([], [top])] * budgets.size
+    log_slopes = np.log(slopes)
+    keep, step_values = _merge_pattern(knots, log_slopes, theta1)
+    # A flat value function has no knot worth buying: it never spends.
+    top = float(knots[-1]) if knots.size else 0.0
+    u = np.full(budgets.size, -math.inf)
     alt_values = np.full(budgets.size, float(value(top)))
     inner = np.flatnonzero(budgets < top * (1.0 - 1e-12))
     if inner.size:
-        log_slopes = np.log(slopes)
-        u = np.log(solve_lambda(value, theta1, budgets[inner]))
-        y = _breakpoints(log_slopes, u, theta1)
+        u[inner] = np.log(solve_lambda(value, theta1, budgets[inner]))
+        y = _breakpoints(log_slopes, u[inner], theta1)
         alt_values[inner] = _alternative_values(value, knots.size, y, theta1)
-        keep, step_values = _merge_pattern(knots, log_slopes, theta1)
-        for i, row in zip(inner.tolist(), y[:, keep]):
-            updates[i] = LicenseFn(row.tolist(), step_values)
-    return tuple(updates), alt_values
+    return StepBatch(theta1, log_slopes[keep], np.array(step_values), u), alt_values
 
 
 def optimal_step(
     value: PLCValue, theta1: float, budget: float
 ) -> tuple[LicenseFn, float]:
     """Best one-step update for a single budget; see optimal_steps."""
-    updates, alt_values = optimal_steps(value, theta1, [budget])
-    return updates[0], float(alt_values[0])
+    batch, alt_values = optimal_steps(value, theta1, [budget])
+    return batch[0], float(alt_values[0])

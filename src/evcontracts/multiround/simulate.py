@@ -111,13 +111,13 @@ def simulate_policy(
         # Group on a snapshot: updates move episodes across levels and must
         # not make them eligible for a second update in the same round.
         start_levels = level_idx.copy()
-        for lvl in np.unique(start_levels[active]):
+        updates, go = policy.updates[t - 1], policy.go[t - 1]
+        for lvl in np.unique(start_levels[active]).tolist():
             group = active & (start_levels == lvl)
-            update = policy.action(t, int(lvl))
-            if update is None:
+            if not go[lvl]:
                 active[group] = False
                 continue
-            new_values = update(z[group, t - 1])
+            new_values = updates.evaluate(lvl, z[group, t - 1])
             new_idx = np.rint(new_values / grid.epsilon).astype(np.int64)
             level_idx[group] = new_idx
             licenses[group, t - 1] = new_values

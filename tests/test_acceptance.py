@@ -54,6 +54,7 @@ from evcontracts.multiround import (
     SingleStageStrategy,
     alternative_value_of_update,
     backward_induction,
+    discrete_root_value,
     random_factor_license,
     simulate_policy,
     simulate_strategy,
@@ -141,11 +142,11 @@ def test_criterion_5_brute_force_equivalence():
     z_points = np.linspace(-4.0, 4.0, 21)
     grid = LicenseGrid.from_cap(1.0, 5)
     evidence = DiscretizedEvidence(z_points)
-    policy = backward_induction(2, 0.1, 1.0, grid, evidence=evidence)
+    root = discrete_root_value(2, 0.1, 1.0, grid, evidence)
     oracle = _enumeration_oracle(
         z_points=z_points, n_levels=5, cap=1.0, costs=[0.1, 0.1], theta=1.0
     )
-    ok = abs(policy.root_value - oracle) <= 1e-12
+    ok = abs(root - oracle) <= 1e-12
     report(5, "discrete program equals brute-force policy enumeration", ok)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from evcontracts.cli import EXIT_CONFIG, EXIT_DEVIATION, EXIT_OK, main
@@ -74,6 +76,14 @@ class TestConfigParsing:
             ("fda-audit", "profits", "-1e9"),
             ("fda-audit", "profits", ","),
             ("multiround", "theta_grid", ","),
+            ("multiround", "caps", "1,-1"),
+            ("multiround", "cost", "-0.1"),
+            ("welfare", "ratio_b", "0.5"),
+            ("welfare", "severity_b", "medium"),
+            ("best-response", "cap", "-1"),
+            ("best-response", "theta_grid", "-1"),
+            ("best-response", "theta_grid", ","),
+            ("best-response", "cost_ratios", ","),
         ),
     )
     def test_out_of_range_value_exits_config(
@@ -339,6 +349,29 @@ class TestMultiroundCommand:
         total = sum(int(r[2]) for r in five_rows)
         at_cap = sum(int(r[2]) for r in five_rows if float(r[1]) >= 1.0 - 1e-9)
         assert at_cap / total >= 0.95
+
+    def test_policy_and_episode_bytes_are_pinned(self, tmp_path):
+        # Guards refactors of the DP and the policy simulator: the policy
+        # table and the per-episode ledger must keep their exact bytes. The
+        # digests were recorded with numpy 2.4.6 and scipy 1.17.1; another
+        # numpy or scipy may move the last printed digit and need new ones.
+        out = tmp_path / "m"
+        code = main(
+            ["multiround", "--out", str(out), "--reps", "200",
+             "--param", "levels=20", "--param", "caps=1,5",
+             "--param", "theta_grid=1.645,-0.5"]
+        )
+        assert code == EXIT_OK
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("multiround_policy.txt", "multiround_episodes.csv")
+        }
+        assert digests == {
+            "multiround_policy.txt":
+                "3eb4063bc8524c640c6a5a785a004b255ac559f3746258f402f39e80d3944b99",
+            "multiround_episodes.csv":
+                "9212f88fe15d15b8fc61057768fce752679dd7e469d5e9a8de4d90567a292a5c",
+        }
 
 
 class TestBestResponseCommand:

@@ -17,6 +17,7 @@ from evcontracts.multiround import (
     LicenseGrid,
     backward_induction,
     concave_monotone_hull,
+    discrete_root_value,
     dp,
     optimizer,
 )
@@ -156,8 +157,9 @@ class TestBatchedRoundAgainstPerLevelOracle:
         tables, actions = _oracle_backward_induction(3, 0.1, theta, grid)
         for got, want in zip(policy.value_tables, tables):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
-        for got_row, want_row in zip(policy.actions, actions):
-            for got, want in zip(got_row, want_row):
+        for t, want_row in enumerate(actions, start=1):
+            for i, want in enumerate(want_row):
+                got = policy.action(t, i)
                 assert (got is None) == (want is None)
                 if got is None:
                     continue
@@ -165,6 +167,42 @@ class TestBatchedRoundAgainstPerLevelOracle:
                 np.testing.assert_allclose(
                     got.breakpoints, want.breakpoints, rtol=0.0, atol=1e-8
                 )
+
+
+class TestRoundRecord:
+    def test_solve_builds_no_license_functions(self, monkeypatch):
+        # a round is one shared step pattern plus a multiplier per level;
+        # per-level step functions are built only when a caller asks
+        built = []
+        init = LicenseFn.__init__
+
+        def counted(self, breakpoints, values):
+            built.append(len(values))
+            init(self, breakpoints, values)
+
+        monkeypatch.setattr(LicenseFn, "__init__", counted)
+        policy = backward_induction(3, 0.1, 1.0, LicenseGrid.from_cap(1.0, 50))
+        assert built == []
+        policy.export_text()
+        assert built == []
+
+    @pytest.mark.parametrize("theta", (0.05, 1.645, 8.0))
+    @pytest.mark.parametrize("cap", (1.0, 5.0))
+    def test_evaluate_equals_license_function(self, cap, theta):
+        policy = backward_induction(3, 0.1, theta, LicenseGrid.from_cap(cap, 40))
+        z = np.linspace(-8.0, 12.0, 801)
+        kinds = set()
+        for t in range(1, 4):
+            batch = policy.updates[t - 1]
+            for i in range(policy.grid.levels + 1):
+                update = batch[i]
+                # points on the breakpoints check the right-continuous ties
+                points = np.concatenate((z, update.breakpoints))
+                np.testing.assert_array_equal(batch.evaluate(i, points), update(points))
+                go = bool(policy.go[t - 1][i])
+                assert policy.action(t, i) == (update if go else None)
+                kinds.add((go, "constant" if not update.breakpoints else "steps"))
+        assert {(True, "steps"), (False, "constant")} <= kinds
 
 
 class TestDegenerateCases:
@@ -243,12 +281,28 @@ class TestValueTables:
         assert values[2] - values[1] <= (values[1] - values[0]) + 1e-9
 
 
+class TestGridNesting:
+    # from_cap grids are nested when the level count doubles, so the finer
+    # program's choice set contains the coarser one's; the root's change
+    # shrinks about fourfold per doubling (discretization error O(eps^2))
+    @pytest.mark.parametrize("cap, theta", ((1.0, 1.645), (5.0, 1.0)))
+    def test_root_converges_quadratically(self, cap, theta):
+        roots = [
+            backward_induction(5, 0.1, theta, LicenseGrid.from_cap(cap, levels)).root_value
+            for levels in (100, 200, 400, 800)
+        ]
+        steps = np.diff(roots)
+        assert np.all(steps >= 0.0)
+        ratios = steps[:-1] / steps[1:]
+        assert np.all((ratios >= 3.5) & (ratios <= 4.5)), ratios
+
+
 class TestDiscreteEvidenceMode:
     def test_small_brute_force_equivalence(self):
         # tiny configuration checked against an independent enumeration
         grid = LicenseGrid.from_cap(1.0, 3)
         evidence = DiscretizedEvidence(np.linspace(-3.0, 3.0, 9))
-        policy = backward_induction(2, 0.15, 1.0, grid, evidence=evidence)
+        root = discrete_root_value(2, 0.15, 1.0, grid, evidence)
         oracle = _enumeration_oracle(
             z_points=np.linspace(-3.0, 3.0, 9),
             n_levels=3,
@@ -256,15 +310,15 @@ class TestDiscreteEvidenceMode:
             costs=[0.15, 0.15],
             theta=1.0,
         )
-        assert policy.root_value == pytest.approx(oracle, abs=1e-12)
+        assert root == pytest.approx(oracle, abs=1e-12)
 
     def test_discrete_below_analytic(self):
         # restricting evidence to cells can only lose value
         grid = LicenseGrid.from_cap(1.0, 5)
         evidence = DiscretizedEvidence(np.linspace(-4.0, 4.0, 21))
-        discrete = backward_induction(2, 0.1, 1.0, grid, evidence=evidence)
+        discrete = discrete_root_value(2, 0.1, 1.0, grid, evidence)
         analytic = backward_induction(2, 0.1, 1.0, grid)
-        assert discrete.root_value <= analytic.root_value + 1e-9
+        assert discrete <= analytic.root_value + 1e-9
 
 
 class TestPolicyExport:

@@ -327,7 +327,7 @@ class TestOptimalStep:
     def test_flat_value_never_spends(self):
         flat = PLCValue([0.0, 1.0, 2.0], [0.3, 0.3, 0.3])
         updates, values = optimal_steps(flat, 1.0, [0.1, 0.5, 5.0])
-        assert updates == (LicenseFn([], [0.0]),) * 3
+        assert tuple(updates) == (LicenseFn([], [0.0]),) * 3
         assert values.tolist() == [0.3, 0.3, 0.3]
 
     def test_batch_equals_single_budgets(self):
