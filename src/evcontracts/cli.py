@@ -16,17 +16,10 @@ from .experiments import (
     ConfigError,
     ReferenceDeviation,
     RUNNERS,
+    SCHEMAS,
     parse_config_file,
     resolve_config,
 )
-
-_SUBCOMMANDS = {
-    "welfare": "welfare",
-    "fda-audit": "fda_audit",
-    "evalue-growth": "evalue_growth",
-    "multiround": "multiround",
-    "best-response": "best_response",
-}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,7 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Incentive-aligned statistical contract experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _SUBCOMMANDS:
+    for name in SCHEMAS:
+        command = name.replace("_", "-")
         p = sub.add_parser(command, help=f"run the {command} experiment")
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", default=f"out/{command}", help="output directory")
@@ -57,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    experiment = _SUBCOMMANDS[args.command]
+    experiment = args.command.replace("-", "_")
     try:
         file_values = parse_config_file(args.config) if args.config else {}
         overrides: dict[str, str] = {}

@@ -10,6 +10,7 @@ same config, same bytes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -71,47 +72,88 @@ class ExperimentConfig:
         return self.parameters[key]
 
 
-# Allowed keys and defaults per experiment. "seed" is common to all so that
-# every manifest records one even for closed-form runs.
-SCHEMAS: dict[str, dict[str, tuple[str, object]]] = {
+_SEVERITIES = {"high": HIGH_SEVERITY, "low": LOW_SEVERITY}
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its parser kind, its default and its domain.
+
+    The numeric bounds apply to every element of a ``floats`` list, and a
+    ``floats`` list must name at least one value.
+    """
+
+    kind: str
+    default: object
+    above: float | None = None  # strict lower bound
+    at_least: float | None = None  # inclusive lower bound
+    below: float | None = None  # strict upper bound
+    choices: tuple[str, ...] = ()
+    unique: bool = False
+
+    def violation(self, value) -> str | None:
+        """Why ``value`` lies outside the domain, or None if it lies inside."""
+        items, each = (value, "each ") if self.kind == "floats" else ((value,), "")
+        if not items:
+            return "must list at least one value"
+        if self.unique and len(set(items)) != len(items):
+            return "lists a value more than once"
+        if self.choices and value not in self.choices:
+            return f"must be one of {', '.join(self.choices)}"
+        for op, bound, holds in (
+            (">", self.above, operator.gt),
+            (">=", self.at_least, operator.ge),
+            ("<", self.below, operator.lt),
+        ):
+            if bound is not None and not all(holds(x, bound) for x in items):
+                return f"{each}must be {op} {bound:g}"
+        return None
+
+
+# Allowed keys, defaults and domains per experiment. "seed" is common to all
+# so that every manifest records one even for closed-form runs.
+SCHEMAS: dict[str, dict[str, Key]] = {
     "welfare": {
-        "seed": ("int", DEFAULT_SEED),
-        "grid_points": ("int", 101),
-        "theta1": ("float", 1.0),
-        "cost": ("float", 1.0),
-        "ratio_a": ("float", 5.0),
-        "ratio_b": ("float", 50.0),
-        "severity_a": ("str", "high"),
-        "severity_b": ("str", "low"),
+        "seed": Key("int", DEFAULT_SEED),
+        "grid_points": Key("int", 101, at_least=1),
+        "theta1": Key("float", 1.0, above=0.0),
+        "cost": Key("float", 1.0, above=0.0),
+        # the cap is ratio times cost and must exceed it
+        "ratio_a": Key("float", 5.0, above=1.0),
+        "ratio_b": Key("float", 50.0, above=1.0),
+        "severity_a": Key("str", "high", choices=tuple(_SEVERITIES)),
+        "severity_b": Key("str", "low", choices=tuple(_SEVERITIES)),
     },
     "evalue_growth": {
-        "seed": ("int", DEFAULT_SEED),
-        "theta1": ("float", 0.2),
-        "n_max": ("int", 500),
-        "reps": ("int", 10_000),
-        "paths_out": ("int", 10),
+        "seed": Key("int", DEFAULT_SEED),
+        "theta1": Key("float", 0.2),
+        "n_max": Key("int", 500, at_least=1),
+        "reps": Key("int", 10_000, at_least=2),
+        "paths_out": Key("int", 10, at_least=0),
     },
     "fda_audit": {
-        "seed": ("int", DEFAULT_SEED),
-        "cost": ("float", 50_000_000.0),
-        "profits": ("floats", (1e9, 1e10, 1e11)),
-        "band": ("float", 0.02),
+        "seed": Key("int", DEFAULT_SEED),
+        "cost": Key("float", 50_000_000.0, above=0.0),
+        "profits": Key("floats", (1e9, 1e10, 1e11), above=0.0),
+        "band": Key("float", 0.02, at_least=0.0),
     },
     "multiround": {
-        "seed": ("int", DEFAULT_SEED),
-        "horizon": ("int", 5),
-        "cost": ("float", 0.1),
-        "levels": ("int", 100),
-        "caps": ("floats", (1.0, 5.0)),
-        "theta_grid": ("floats", (0.5, 1.0, 1.645, 2.5)),
-        "theta_star": ("float", 1.645),
-        "reps": ("int", 10_000),
+        "seed": Key("int", DEFAULT_SEED),
+        "horizon": Key("int", 5, at_least=1),
+        "cost": Key("float", 0.1, above=0.0),
+        "levels": Key("int", 100, at_least=1),
+        # a repeated cap or effect would solve and write the same cell twice
+        "caps": Key("floats", (1.0, 5.0), above=0.0, unique=True),
+        "theta_grid": Key("floats", (0.5, 1.0, 1.645, 2.5), unique=True),
+        "theta_star": Key("float", 1.645, above=0.0),
+        "reps": Key("int", 10_000, at_least=2),
     },
     "best_response": {
-        "seed": ("int", DEFAULT_SEED),
-        "cap": ("float", 1.0),
-        "cost_ratios": ("floats", (0.002, 0.05, 0.2)),
-        "theta_grid": ("floats", (0.5, 1.0, 1.645)),
+        "seed": Key("int", DEFAULT_SEED),
+        "cap": Key("float", 1.0, above=0.0),
+        "cost_ratios": Key("floats", (0.002, 0.05, 0.2), above=0.0, below=1.0),
+        # effects above the null
+        "theta_grid": Key("floats", (0.5, 1.0, 1.645), above=0.0),
     },
 }
 
@@ -136,13 +178,14 @@ def resolve_config(
     file_values: dict[str, str] | None = None,
     overrides: dict[str, str] | None = None,
 ) -> ExperimentConfig:
-    """Merge defaults, config file, and overrides against the schema."""
+    """Merge defaults, config file, and overrides against the schema, and
+    check every merged value against its key's domain."""
     if experiment not in SCHEMAS:
         raise ConfigError(
             f"unknown experiment {experiment!r}; expected one of {sorted(SCHEMAS)}"
         )
     schema = SCHEMAS[experiment]
-    merged: dict[str, object] = {key: default for key, (_, default) in schema.items()}
+    merged: dict[str, object] = {key: spec.default for key, spec in schema.items()}
     for source in (file_values or {}), (overrides or {}):
         for key, value in source.items():
             if key not in schema:
@@ -150,11 +193,14 @@ def resolve_config(
                     f"unknown key {key!r} for experiment {experiment!r}; "
                     f"allowed: {sorted(schema)}"
                 )
-            kind = schema[key][0]
             try:
-                merged[key] = _PARSERS[kind](value)
+                merged[key] = _PARSERS[schema[key].kind](value)
             except (TypeError, ValueError) as err:
                 raise ConfigError(f"bad value for {key!r}: {value!r} ({err})") from err
+    for key, value in merged.items():
+        reason = schema[key].violation(value)
+        if reason is not None:
+            raise ConfigError(f"bad value for {key!r}: {value!r} ({reason})")
     return ExperimentConfig(experiment, merged, Path(output_dir))
 
 
@@ -198,36 +244,14 @@ class RunResult:
     summary: dict = field(default_factory=dict)
 
 
-_SEVERITIES = {"high": HIGH_SEVERITY, "low": LOW_SEVERITY}
-
-
 def run_welfare(config: ExperimentConfig) -> RunResult:
     """Principal utility vs null share, aligned menu against the status quo."""
     result = RunResult()
     n = config["grid_points"]
-    if n < 1:
-        raise ConfigError("grid_points must be at least 1")
-    if config["theta1"] <= 0.0:
-        raise ConfigError("theta1 must be positive: it is the non-null type")
-    if config["cost"] <= 0.0:
-        raise ConfigError(f"cost must be positive, got {config['cost']}")
-    panels = [
-        ("a", config["ratio_a"], config["severity_a"]),
-        ("b", config["ratio_b"], config["severity_b"]),
-    ]
-    for label, ratio, severity_name in panels:
-        if not ratio > 1.0:
-            raise ConfigError(
-                f"ratio_{label} must exceed 1 (the cap is ratio_{label} times cost), "
-                f"got {ratio}"
-            )
-        if severity_name not in _SEVERITIES:
-            raise ConfigError(
-                f"severity_{label} must be 'high' or 'low', got {severity_name!r}"
-            )
     config.output_dir.mkdir(parents=True, exist_ok=True)
     pi0_grid = [0.0] if n == 1 else [i / (n - 1) for i in range(n)]
-    for label, ratio, severity_name in panels:
+    for label in ("a", "b"):
+        ratio, severity_name = config[f"ratio_{label}"], config[f"severity_{label}"]
         cost = config["cost"]
         contract = Contract(Menu.all_evalues(cost), cost, ratio * cost)
         rows = welfare_curve(
@@ -267,10 +291,6 @@ def run_evalue_growth(config: ExperimentConfig) -> RunResult:
     result = RunResult()
     theta1 = config["theta1"]
     n_max, reps = config["n_max"], config["reps"]
-    if n_max < 1 or reps < 2:
-        raise ConfigError("need n_max >= 1 and reps >= 2")
-    if config["paths_out"] < 0:
-        raise ConfigError("paths_out must be nonnegative")
     config.output_dir.mkdir(parents=True, exist_ok=True)
     seed = config["seed"]
 
@@ -333,14 +353,10 @@ def run_evalue_growth(config: ExperimentConfig) -> RunResult:
 def run_fda_audit(config: ExperimentConfig) -> RunResult:
     """Expected value of a placebo trial across protocols and market sizes."""
     result = RunResult()
-    if not config["profits"]:
-        raise ConfigError("profits must list at least one market profit")
-    if min(config["profits"]) <= 0.0:
-        raise ConfigError("profits must be positive")
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     rows = audit_table(
         builtin_protocols(), config["profits"], config["cost"], config["band"]
     )
+    config.output_dir.mkdir(parents=True, exist_ok=True)
     csv_path = config.output_dir / "fda_audit.csv"
     write_csv(
         csv_path,
@@ -353,9 +369,9 @@ def run_fda_audit(config: ExperimentConfig) -> RunResult:
     result.files += [csv_path, write_manifest(config)]
     defaults = SCHEMAS["fda_audit"]
     is_default = (
-        config["cost"] == defaults["cost"][1]
-        and tuple(config["profits"]) == tuple(defaults["profits"][1])
-        and config["band"] == defaults["band"][1]
+        config["cost"] == defaults["cost"].default
+        and tuple(config["profits"]) == tuple(defaults["profits"].default)
+        and config["band"] == defaults["band"].default
     )
     result.summary = {
         "rows": len(rows),
@@ -426,22 +442,6 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
     """
     result = RunResult()
     reps = config["reps"]
-    if reps < 2:
-        raise ConfigError("reps must be at least 2")
-    if config["horizon"] < 1 or config["levels"] < 1:
-        raise ConfigError("horizon and levels must be at least 1")
-    if config["cost"] <= 0.0:
-        raise ConfigError(f"cost must be positive, got {config['cost']}")
-    for key in ("caps", "theta_grid"):
-        values = config[key]
-        if not values:
-            raise ConfigError(f"{key} must list at least one value")
-        if len(set(values)) != len(values):
-            raise ConfigError(f"{key} lists a value more than once: {values}")
-    if min(config["caps"]) <= 0.0:
-        raise ConfigError(f"caps must be positive, got {config['caps']}")
-    if config["theta_star"] <= 0.0:
-        raise ConfigError("theta_star must be positive")
     config.output_dir.mkdir(parents=True, exist_ok=True)
 
     stream_index = 0
@@ -549,17 +549,6 @@ def run_best_response(config: ExperimentConfig) -> RunResult:
     """Closed-form best-response licenses across cost ratios and effects."""
     result = RunResult()
     cap = config["cap"]
-    if cap <= 0.0:
-        raise ConfigError(f"cap must be positive, got {cap}")
-    for key in ("cost_ratios", "theta_grid"):
-        if not config[key]:
-            raise ConfigError(f"{key} must list at least one value")
-    if not all(0.0 < ratio < 1.0 for ratio in config["cost_ratios"]):
-        raise ConfigError(f"cost_ratios must lie in (0, 1), got {config['cost_ratios']}")
-    if min(config["theta_grid"]) <= 0.0:
-        raise ConfigError(
-            f"theta_grid must be positive (effects above the null), got {config['theta_grid']}"
-        )
     config.output_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for ratio in config["cost_ratios"]:

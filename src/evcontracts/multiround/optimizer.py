@@ -37,7 +37,6 @@ from .values import PLCValue
 LAMBDA_REL_TOL = 1e-12
 _BRACKET_LO = 1e-6
 _BRACKET_HI = 1e6
-_BRACKET_LIMIT = 1e-280  # give up expanding beyond this
 _BRACKET_WIDEN = 1e2  # geometric step when a budget lies outside the bracket
 _TABLE_POINTS = 65  # log-lambda points tabulated over [_BRACKET_LO, _BRACKET_HI]
 _MAX_ITERATIONS = 200
@@ -169,10 +168,12 @@ def solve_lambda(v: PLCValue, theta: float, budget):
     brackets every budget, and each budget's root is polished from the
     interpolated table by a Newton iteration that bisects its bracket
     whenever a step leaves it. Every budget must meet the relative tolerance
-    LAMBDA_REL_TOL. Budgets above the top reachable knot are infeasible. A
-    solve that exhausts its iterations or its floating-point resolution
-    before meeting the tolerance raises RuntimeError rather than return an
-    unconverged root.
+    LAMBDA_REL_TOL. Budgets above the top reachable knot are infeasible, and
+    so is a budget the tabulated spend has not reached once widening stops
+    changing it in floating point. A solve that exhausts its iterations or
+    its floating-point resolution before meeting the tolerance, or whose
+    multiplier lies outside the normal double range, raises RuntimeError
+    rather than return an unconverged or unusable root (never lambda 0).
     """
     if not theta > 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
@@ -198,22 +199,22 @@ def solve_lambda(v: PLCValue, theta: float, budget):
     grid = np.linspace(math.log(_BRACKET_LO), math.log(_BRACKET_HI), _TABLE_POINTS)
     grid, table = grid.tolist(), spend(grid)[0].tolist()
     widen = math.log(_BRACKET_WIDEN)
-    limit = math.log(_BRACKET_LIMIT)
+    # Widen each end until it brackets every budget; once a step no longer
+    # moves the spend in floating point, no multiplier further out does.
     while table[0] < budgets.max():
         grid.insert(0, grid[0] - widen)
-        if grid[0] < limit:
+        table.insert(0, float(spend(np.array(grid[:1]))[0][0]))
+        if not table[0] > table[1]:
             raise InfeasibleBudgetError(
                 f"budget {float(budgets.max())} is not attainable by any finite multiplier"
             )
-        table.insert(0, float(spend(np.array(grid[:1]))[0][0]))
     while table[-1] > budgets.min():
         grid.append(grid[-1] + widen)
-        if grid[-1] > -limit:
-            # spend(lambda) -> 0, so this loop always terminates in practice
+        table.append(float(spend(np.array(grid[-1:]))[0][0]))
+        if not table[-1] < table[-2]:
             raise InfeasibleBudgetError(
                 f"budget {float(budgets.min())} is below any positive multiplier's spend"
             )
-        table.append(float(spend(np.array(grid[-1:]))[0][0]))
     grid, table = np.array(grid), np.array(table)
 
     # Bracket each budget between adjacent table points (spend decreases
@@ -238,7 +239,8 @@ def solve_lambda(v: PLCValue, theta: float, budget):
         lo_a = np.where(r > 0.0, ua, lo[active])
         hi_a = np.where(r > 0.0, hi[active], ua)
         lo[active], hi[active] = lo_a, hi_a
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a step that overflows is discarded by the bracket test below
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             newton = ua - r / slope
         mid = 0.5 * (lo_a + hi_a)
         step = np.where((newton > lo_a) & (newton < hi_a), newton, mid)
@@ -258,6 +260,15 @@ def solve_lambda(v: PLCValue, theta: float, budget):
             f"above the relative tolerance {LAMBDA_REL_TOL}"
         )
     lam = np.exp(u_at)
+    # A subnormal lambda would make log(lambda) in optimal_steps inexact, and
+    # 0 would read as the constant update.
+    outside = ~((lam >= np.finfo(float).tiny) & (lam < math.inf))
+    if outside.any():
+        worst = int(np.argmax(outside))
+        raise RuntimeError(
+            f"multiplier for budget {float(budgets[worst])} at theta {theta!r} is "
+            f"exp({float(u_at[worst])!r}), outside the normal double range"
+        )
     return float(lam[0]) if np.ndim(budget) == 0 else lam
 
 

@@ -55,8 +55,8 @@ class TestConfigParsing:
         [
             (experiment, key)
             for experiment, schema in SCHEMAS.items()
-            for key, (kind, _) in schema.items()
-            if kind in ("float", "floats")
+            for key, spec in schema.items()
+            if spec.kind in ("float", "floats")
         ],
     )
     def test_non_finite_value_exits_config(
@@ -329,6 +329,14 @@ class TestMultiroundCommand:
         assert code == EXIT_CONFIG
         assert key in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    def test_large_effect_runs(self, tmp_path):
+        # theta 36 needs multipliers near exp(-694)
+        code = main(
+            ["multiround", "--out", str(tmp_path / "m"), "--reps", "10",
+             "--param", "theta_grid=36", "--param", "caps=1", "--param", "levels=10"]
+        )
+        assert code == EXIT_OK
 
     def test_five_data_agent_reaches_cap_at_focal_effect(self, tmp_path):
         out = tmp_path / "m"

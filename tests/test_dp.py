@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,25 @@ class TestDegenerateCases:
             backward_induction(2, 0.1, 0.0, grid)
         with pytest.raises(ValueError):
             backward_induction(2, 0.1, -1.0, grid)
+
+
+class TestExtremeEffects:
+    def test_large_effect_solves_near_the_double_floor(self):
+        # the continuation multipliers lie near exp(-694)
+        policy = backward_induction(5, 0.1, 36.0, LicenseGrid.from_cap(1.0, 10))
+        assert policy.root_value == pytest.approx(0.9, abs=1e-9)
+
+    def test_multiplier_below_the_normal_range_raises(self):
+        with pytest.raises(RuntimeError, match="theta 40.0") as err:
+            backward_induction(5, 0.1, 40.0, LicenseGrid.from_cap(1.0, 10))
+        assert "not attainable" not in str(err.value)
+
+    @pytest.mark.parametrize("theta", [1e-4, 1e-2])
+    def test_small_effect_solves_without_warnings(self, theta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            policy = backward_induction(5, 0.1, theta, LicenseGrid.from_cap(1.0, 10))
+        assert 0.0 <= policy.root_value < theta
 
 
 class TestValueTables:

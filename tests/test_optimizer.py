@@ -181,6 +181,15 @@ class TestSolveLambda:
         with pytest.raises(ValueError):
             solve_lambda(v, 1.0, 0.0)
 
+    def test_spend_saturating_below_the_budget_is_infeasible(self):
+        # these increments sum to one ulp below the top knot, so no spend,
+        # even one saturated in floating point, reaches a budget at the top
+        knots = [0.0, 0.13440320962888666, 0.3801404212637914, 0.9408224674022067]
+        v = PLCValue(knots, [0.0, 0.4, 0.9, 1.0])
+        for theta in (0.05, 1.0, 30.0):
+            with pytest.raises(InfeasibleBudgetError, match="not attainable"):
+                solve_lambda(v, theta, knots[-1])
+
     def test_unmet_tolerance_raises(self, monkeypatch):
         # no residual can meet a negative tolerance, so the bisection runs
         # out and must say so instead of returning its last midpoint
