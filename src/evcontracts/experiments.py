@@ -3,8 +3,8 @@
 Each experiment takes a flat key=value configuration (file and/or flag
 overrides), writes CSVs plus static SVG plots into an output directory, and
 drops a manifest echoing the resolved configuration so any run can be
-replayed. All randomness flows through seeded replicate-indexed streams:
-same config, same bytes.
+replayed. All randomness flows through seeded streams: same config, same
+bytes.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .svgplot import render_lines
 from .welfare import HIGH_SEVERITY, LOW_SEVERITY, welfare_curve
 from .multiround import (
     LicenseGrid,
+    MultiplierRangeError,
     backward_induction,
     episodes_to_csv_rows,
     simulate_policy,
@@ -247,12 +248,20 @@ class RunResult:
 def run_welfare(config: ExperimentConfig) -> RunResult:
     """Principal utility vs null share, aligned menu against the status quo."""
     result = RunResult()
-    n = config["grid_points"]
+    n, cost = config["grid_points"], config["cost"]
+    # Each key lies in its domain, but their product may still overflow or
+    # round down to the cost.
+    for label in ("a", "b"):
+        cap = config[f"ratio_{label}"] * cost
+        if not (math.isfinite(cap) and cap > cost):
+            raise ConfigError(
+                f"bad value for 'cost' and 'ratio_{label}': their product, the "
+                f"cap {cap!r}, must be finite and exceed cost {cost!r}"
+            )
     config.output_dir.mkdir(parents=True, exist_ok=True)
     pi0_grid = [0.0] if n == 1 else [i / (n - 1) for i in range(n)]
     for label in ("a", "b"):
         ratio, severity_name = config[f"ratio_{label}"], config[f"severity_{label}"]
-        cost = config["cost"]
         contract = Contract(Menu.all_evalues(cost), cost, ratio * cost)
         rows = welfare_curve(
             pi0_grid, contract, _SEVERITIES[severity_name], config["theta1"]
@@ -286,32 +295,39 @@ def run_evalue_growth(config: ExperimentConfig) -> RunResult:
 
     Under the alternative the mean of log E grows linearly at rate
     theta1^2/2 per observation; under the null the mean of E itself stays at
-    one (martingale), which is what caps a bluffing agent.
+    one (martingale), which is what caps a bluffing agent. Each hypothesis
+    draws one (reps, n_max) evidence matrix, replicate r in row r: the
+    alternative from stream 0, the null from stream 1.
     """
     result = RunResult()
     theta1 = config["theta1"]
     n_max, reps = config["n_max"], config["reps"]
     config.output_dir.mkdir(parents=True, exist_ok=True)
     seed = config["seed"]
+    ns = np.arange(1, n_max + 1)
+    drift = theta1**2 / 2.0 * ns
 
     def log_paths(mean: float, stream_index: int) -> np.ndarray:
-        # log E after n observations: theta1 * sum(z) - n * theta1^2 / 2
-        out = np.empty((reps, n_max))
-        for r in range(reps):
-            z = sample_normal(
-                GaussianModel(mean), RandomStream(seed, stream_index + r), n_max
-            )
-            out[r] = theta1 * np.cumsum(z) - theta1**2 / 2.0 * np.arange(1, n_max + 1)
-        return out
+        # log E after n observations, theta1 * sum(z) - n * theta1^2 / 2, built
+        # in place on one (reps, n_max) draw with replicate r in row r
+        z = sample_normal(
+            GaussianModel(mean), RandomStream(seed, stream_index), (reps, n_max)
+        )
+        np.cumsum(z, axis=1, out=z)
+        z *= theta1
+        z -= drift
+        return z
 
-    log_alt = log_paths(theta1, 0)
-    log_null = log_paths(0.0, reps)
-    ns = np.arange(1, n_max + 1)
-    mean_log_alt = log_alt.mean(axis=0)
-    se_log_alt = log_alt.std(axis=0, ddof=1) / math.sqrt(reps)
-    e_null = np.exp(log_null)
+    # One matrix at a time: the null's is reduced and freed before the
+    # alternative's is drawn.
+    e_null = log_paths(0.0, 1)
+    np.exp(e_null, out=e_null)
     mean_e_null = e_null.mean(axis=0)
     se_e_null = e_null.std(axis=0, ddof=1) / math.sqrt(reps)
+    del e_null
+    log_alt = log_paths(theta1, 0)
+    mean_log_alt = log_alt.mean(axis=0)
+    se_log_alt = log_alt.std(axis=0, ddof=1) / math.sqrt(reps)
     # Least-squares slope through the origin of mean log E against n.
     slope = float(np.dot(ns, mean_log_alt) / np.dot(ns, ns))
 
@@ -411,14 +427,22 @@ def _multiround_cell(
     one (cap, effect) cell, on streams stream_index .. stream_index + 2.
 
     An effect at most zero plays the theta_star agent's strategies against
-    null evidence.
+    null evidence. A design effect too large for the multiplier's double
+    range is a config error naming the key it came from.
     """
     T, cost = config["horizon"], config["cost"]
     reps, seed = config["reps"], config["seed"]
     design_theta = theta1 if theta1 > 0.0 else config["theta_star"]
-    policy = backward_induction(
-        T, cost, design_theta, LicenseGrid.from_cap(cap, config["levels"])
-    )
+    try:
+        policy = backward_induction(
+            T, cost, design_theta, LicenseGrid.from_cap(cap, config["levels"])
+        )
+    except MultiplierRangeError as err:
+        on_grid = theta1 > 0.0 and theta1 in config["theta_grid"]
+        key = "theta_grid" if on_grid else "theta_star"
+        raise ConfigError(
+            f"bad value for {key!r}: {design_theta!r} at cap {cap:g} ({err})"
+        ) from err
     episodes = simulate_policy(policy, theta1, reps, RandomStream(seed, stream_index))
     one = _one_round_profits(
         design_theta, theta1, cost, cap, 1.0, reps, RandomStream(seed, stream_index + 1)
@@ -441,21 +465,20 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
     (null) effect, so alignment caps their mean profit at zero.
     """
     result = RunResult()
-    reps = config["reps"]
-    config.output_dir.mkdir(parents=True, exist_ok=True)
+    caps = config["caps"]
+    root = math.sqrt(config["reps"])
 
+    # Every cell is solved and simulated before anything is written, so a
+    # config error found by the solver leaves no output directory.
     stream_index = 0
-    profit_files = []
     curve_summaries = {}
-    star_outputs_done = False
-    for cap in config["caps"]:
+    star_cell = None
+    for cap in caps:
         rows = []
         for theta1 in config["theta_grid"]:
-            policy, episodes, one, five = _multiround_cell(
-                config, cap, theta1, stream_index
-            )
+            cell = _multiround_cell(config, cap, theta1, stream_index)
             stream_index += 3
-            root = math.sqrt(reps)
+            _, episodes, one, five = cell
             rows.append(
                 (
                     theta1,
@@ -467,11 +490,20 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
                     float(five.std(ddof=1) / root),
                 )
             )
-            if cap == min(config["caps"]) and math.isclose(
+            if cap == min(caps) and math.isclose(
                 theta1, config["theta_star"], rel_tol=0.0, abs_tol=1e-12
             ):
-                star_outputs_done = True
-                _write_star_outputs(config, result, policy, episodes, one, five)
+                star_cell = cell
+        curve_summaries[cap] = rows
+    if star_cell is None:
+        # theta_star not on the grid: run it separately for the histograms.
+        star_cell = _multiround_cell(
+            config, min(caps), config["theta_star"], stream_index
+        )
+
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    _write_star_outputs(config, result, *star_cell)
+    for cap, rows in curve_summaries.items():
         path = config.output_dir / f"multiround_profit_cap{cap:g}.csv"
         write_csv(
             path,
@@ -495,15 +527,8 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
             ylabel="mean profit",
             path=svg,
         )
-        profit_files += [path, svg]
-        curve_summaries[cap] = rows
-    if not star_outputs_done:
-        # theta_star not on the grid: run it separately for the histograms.
-        cell = _multiround_cell(
-            config, min(config["caps"]), config["theta_star"], stream_index
-        )
-        _write_star_outputs(config, result, *cell)
-    result.files += profit_files + [write_manifest(config)]
+        result.files += [path, svg]
+    result.files.append(write_manifest(config))
     result.summary["profit_curves"] = curve_summaries
     return result
 

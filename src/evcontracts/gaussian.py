@@ -37,10 +37,12 @@ class GaussianModel:
 
 @dataclass(frozen=True)
 class RandomStream:
-    """Counter-based random stream: (seed, stream_index) fully determines it.
+    """Seeded random stream: (seed, stream_index) fully determines it.
 
-    Each Monte Carlo replicate gets its own stream, so results are
-    bit-identical across runs and worker counts regardless of execution order.
+    Its generator is PCG64 seeded by SeedSequence([seed, stream_index]).
+    Monte Carlo evidence is drawn from a stream as one matrix with a row per
+    replicate (``sample_normal``), so results are bit-identical across runs
+    and the first k replicates do not depend on how many are drawn.
     """
 
     seed: int
@@ -81,8 +83,15 @@ def upper_tail_inverse(p: float) -> float:
     return -float(special.ndtri(p))
 
 
-def sample_normal(model: GaussianModel, stream: RandomStream, n: int) -> np.ndarray:
-    """n i.i.d. draws from the model, deterministic given the stream."""
-    if n < 0:
+def sample_normal(
+    model: GaussianModel, stream: RandomStream, n: int | tuple[int, ...]
+) -> np.ndarray:
+    """I.i.d. draws from the model in an array of shape ``n`` (an int or a
+    tuple), deterministic given the stream.
+
+    A shape fills row-major, so the rows of a (reps, horizon) matrix are the
+    same for every leading ``reps``.
+    """
+    if np.any(np.asarray(n) < 0):
         raise ValueError(f"n must be nonnegative, got {n}")
     return stream.generator().normal(model.mean, model.sd, size=n)

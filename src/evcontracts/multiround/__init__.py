@@ -6,6 +6,7 @@ from .values import PLCValue, least_concave_majorant, monotone_envelope, concave
 from .optimizer import (
     InfeasibleBudgetError,
     LicenseGrid,
+    MultiplierRangeError,
     alternative_value_of_update,
     max_spendable,
     null_expectation_of_update,
@@ -36,6 +37,7 @@ __all__ = [
     "concave_monotone_hull",
     "InfeasibleBudgetError",
     "LicenseGrid",
+    "MultiplierRangeError",
     "alternative_value_of_update",
     "max_spendable",
     "null_expectation_of_update",

@@ -52,6 +52,14 @@ class InfeasibleBudgetError(ValueError):
     """The null budget exceeds what any update on the value's knots can spend."""
 
 
+class MultiplierRangeError(RuntimeError):
+    """The multiplier that spends a budget lies outside the normal double range.
+
+    Typically the effect is too large for the budget, whose update would
+    need a lambda below the smallest normal double.
+    """
+
+
 @dataclass(frozen=True)
 class LicenseGrid:
     """Discretized license values {0, epsilon, ..., levels * epsilon}."""
@@ -172,8 +180,9 @@ def solve_lambda(v: PLCValue, theta: float, budget):
     so is a budget the tabulated spend has not reached once widening stops
     changing it in floating point. A solve that exhausts its iterations or
     its floating-point resolution before meeting the tolerance, or whose
-    multiplier lies outside the normal double range, raises RuntimeError
-    rather than return an unconverged or unusable root (never lambda 0).
+    multiplier lies outside the normal double range (MultiplierRangeError),
+    raises RuntimeError rather than return an unconverged or unusable root
+    (never lambda 0).
     """
     if not theta > 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
@@ -265,7 +274,7 @@ def solve_lambda(v: PLCValue, theta: float, budget):
     outside = ~((lam >= np.finfo(float).tiny) & (lam < math.inf))
     if outside.any():
         worst = int(np.argmax(outside))
-        raise RuntimeError(
+        raise MultiplierRangeError(
             f"multiplier for budget {float(budgets[worst])} at theta {theta!r} is "
             f"exp({float(u_at[worst])!r}), outside the normal double range"
         )

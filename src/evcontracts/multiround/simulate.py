@@ -21,7 +21,7 @@ from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from ..gaussian import GaussianModel, RandomStream, replicate_rng
+from ..gaussian import GaussianModel, RandomStream, replicate_rng, sample_normal
 from ..licenses import LicenseFn, null_expectation
 from .dp import DPPolicy
 
@@ -71,15 +71,6 @@ class EpisodeBatch:
         )
 
 
-def _replicate_normals(
-    stream: RandomStream, reps: int, horizon: int, mean: float
-) -> np.ndarray:
-    z = np.empty((reps, horizon))
-    for r in range(reps):
-        z[r] = replicate_rng(stream, r).normal(mean, 1.0, horizon)
-    return z
-
-
 def simulate_policy(
     policy: DPPolicy, theta_true: float, reps: int, stream: RandomStream
 ) -> EpisodeBatch:
@@ -87,14 +78,15 @@ def simulate_policy(
 
     The DP agent makes no withdrawals; it pays the round cost whenever the
     policy continues and exits at the first stop action (or after the last
-    round). Episodes use replicate-indexed streams, so results do not depend
-    on `reps` batching.
+    round). The evidence is one (reps, horizon) matrix drawn from the
+    stream, episode r reading row r; rows fill in order, so the first k
+    episodes are the same for any `reps`.
     """
     if reps < 1:
         raise ValueError(f"need at least one replicate, got {reps}")
     T = policy.horizon
     grid = policy.grid
-    z = _replicate_normals(stream, reps, T, theta_true)
+    z = sample_normal(GaussianModel(theta_true), stream, (reps, T))
 
     costs_paid = np.zeros((reps, T))
     withdrawals = np.zeros((reps, T))

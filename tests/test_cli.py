@@ -1,8 +1,11 @@
 import hashlib
 
+import numpy as np
 import pytest
 
+from evcontracts import experiments
 from evcontracts.cli import EXIT_CONFIG, EXIT_DEVIATION, EXIT_OK, main
+from evcontracts.gaussian import GaussianModel, RandomStream, sample_normal
 from evcontracts.experiments import (
     SCHEMAS,
     ConfigError,
@@ -246,6 +249,30 @@ class TestEvalueGrowthCommand:
         code = main(["evalue-growth", "--out", str(tmp_path), "--reps", "1"])
         assert code == EXIT_CONFIG
 
+    def test_paths_are_rows_of_one_matrix(self, tmp_path, monkeypatch):
+        # path i is row i of the (reps, n_max) matrix drawn from stream 0
+        written = {}
+
+        def record(path, header, rows):
+            written[path.name] = (header, rows)
+
+        monkeypatch.setattr(experiments, "write_csv", record)
+        theta1, n_max, reps, seed = 0.3, 50, 20, 8
+        config = resolve_config(
+            "evalue_growth",
+            tmp_path / "g",
+            overrides={"theta1": str(theta1), "n_max": str(n_max), "reps": str(reps),
+                       "seed": str(seed), "paths_out": "5"},
+        )
+        run_evalue_growth(config)
+        header, rows = written["evalue_growth_paths.csv"]
+        assert header == ["n"] + [f"log_e_path_{i}" for i in range(5)]
+        paths = np.array([row[1:] for row in rows]).T
+        z = sample_normal(GaussianModel(theta1), RandomStream(seed, 0), (reps, n_max))
+        ns = np.arange(1, n_max + 1)
+        expected = theta1 * np.cumsum(z[:5], axis=1) - ns * theta1**2 / 2.0
+        assert np.max(np.abs(paths - expected)) <= 1e-12
+
 
 class TestMultiroundCommand:
     def test_small_run(self, tmp_path):
@@ -338,6 +365,30 @@ class TestMultiroundCommand:
         )
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "key, params",
+        (
+            ("theta_grid", ["theta_grid=40"]),
+            # a null cell designs for theta_star
+            ("theta_star", ["theta_grid=-0.5", "theta_star=40"]),
+            # theta_star off the grid runs as a cell of its own
+            ("theta_star", ["theta_grid=1", "theta_star=40"]),
+        ),
+    )
+    def test_effect_beyond_the_multiplier_range_exits_config(
+        self, tmp_path, capsys, key, params
+    ):
+        out = tmp_path / "m"
+        argv = ["multiround", "--out", str(out), "--reps", "10",
+                "--param", "caps=1", "--param", "levels=10"]
+        for param in params:
+            argv += ["--param", param]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"bad value for '{key}': 40.0 at cap 1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_five_data_agent_reaches_cap_at_focal_effect(self, tmp_path):
         out = tmp_path / "m"
         config = resolve_config(
@@ -378,7 +429,7 @@ class TestMultiroundCommand:
             "multiround_policy.txt":
                 "3eb4063bc8524c640c6a5a785a004b255ac559f3746258f402f39e80d3944b99",
             "multiround_episodes.csv":
-                "9212f88fe15d15b8fc61057768fce752679dd7e469d5e9a8de4d90567a292a5c",
+                "87f73b50054c12adffd616a036afd0f38844ca935d8821e6dfdb83183dfeeb89",
         }
 
 

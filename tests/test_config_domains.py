@@ -159,3 +159,23 @@ def test_cli_rejects_before_writing(tmp_path, capsys, experiment, key, value):
     assert code == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        # in-domain keys whose product, the cap, rounds down to the cost
+        ["cost=5e-324", "ratio_a=1.1"],
+        # ... or overflows
+        ["cost=1e308"],
+    ],
+)
+def test_cli_rejects_welfare_cap_before_writing(tmp_path, capsys, params):
+    out = tmp_path / "out"
+    argv = ["welfare", "--out", str(out)]
+    for param in params:
+        argv += ["--param", param]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "bad value for 'cost' and 'ratio_a'" in err
+    assert not out.exists()

@@ -16,6 +16,7 @@ from evcontracts.gaussian import upper_tail_np
 from evcontracts.multiround import (
     DiscretizedEvidence,
     LicenseGrid,
+    MultiplierRangeError,
     backward_induction,
     concave_monotone_hull,
     discrete_root_value,
@@ -243,6 +244,11 @@ class TestExtremeEffects:
         with pytest.raises(RuntimeError, match="theta 40.0") as err:
             backward_induction(5, 0.1, 40.0, LicenseGrid.from_cap(1.0, 10))
         assert "not attainable" not in str(err.value)
+
+    def test_multiplier_range_has_its_own_error(self):
+        # the experiments turn this one into a config error naming the effect
+        with pytest.raises(MultiplierRangeError, match="outside the normal double range"):
+            backward_induction(5, 0.1, 40.0, LicenseGrid.from_cap(1.0, 10))
 
     @pytest.mark.parametrize("theta", [1e-4, 1e-2])
     def test_small_effect_solves_without_warnings(self, theta):

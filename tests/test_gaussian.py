@@ -129,15 +129,20 @@ class TestSampling:
     def test_empty(self):
         out = sample_normal(GaussianModel(0.0), RandomStream(1, 0), 0)
         assert out.shape == (0,)
+        out = sample_normal(GaussianModel(0.0), RandomStream(1, 0), (3, 0))
+        assert out.shape == (3, 0)
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            sample_normal(GaussianModel(0.0), RandomStream(1, 0), -1)
+        for n in (-1, (2, -1)):
+            with pytest.raises(ValueError, match="n must be nonnegative"):
+                sample_normal(GaussianModel(0.0), RandomStream(1, 0), n)
 
     def test_determinism(self):
         a = sample_normal(GaussianModel(0.3, 2.0), RandomStream(42, 7), 50)
         b = sample_normal(GaussianModel(0.3, 2.0), RandomStream(42, 7), 50)
         assert np.array_equal(a, b)
+        c = sample_normal(GaussianModel(0.3, 2.0), RandomStream(42, 7), (5, 10))
+        assert np.array_equal(c, a.reshape(5, 10))
 
     def test_streams_differ(self):
         a = sample_normal(GaussianModel(0.0), RandomStream(42, 0), 50)

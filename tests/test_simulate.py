@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from evcontracts import GaussianModel, LicenseFn, RandomStream, null_expectation
+from evcontracts import (
+    GaussianModel,
+    LicenseFn,
+    RandomStream,
+    null_expectation,
+    sample_normal,
+)
 from evcontracts.multiround import (
     LicenseGrid,
     RandomizedAlignedStrategy,
@@ -33,6 +39,16 @@ class TestSimulatePolicy:
         small = simulate_policy(POLICY, 1.2, 50, RandomStream(5, 0))
         large = simulate_policy(POLICY, 1.2, 200, RandomStream(5, 0))
         assert np.array_equal(small.profit, large.profit[:50])
+
+    def test_evidence_is_one_matrix_from_the_stream(self):
+        # episode r reads row r of one (reps, horizon) draw
+        stream = RandomStream(5, 2)
+        episodes = simulate_policy(POLICY, 1.2, 300, stream)
+        z = sample_normal(GaussianModel(1.2), stream, (300, POLICY.horizon))
+        run = episodes.indicators
+        assert run.any()
+        assert np.array_equal(episodes.evidence[run], z[run])
+        assert np.all(np.isnan(episodes.evidence[~run]))
 
     def test_mc_mean_matches_root_value(self):
         episodes = simulate_policy(POLICY, 1.2, 40_000, RandomStream(17, 0))
