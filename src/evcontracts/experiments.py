@@ -318,16 +318,25 @@ def run_evalue_growth(config: ExperimentConfig) -> RunResult:
         z -= drift
         return z
 
+    def mean_and_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # column means and standard errors, equal to std(ddof=1) / sqrt(reps)
+        # bit for bit but computed in place: x is overwritten
+        mean = x.mean(axis=0)
+        x -= mean
+        x *= x
+        return mean, np.sqrt(x.sum(axis=0) / (reps - 1)) / math.sqrt(reps)
+
     # One matrix at a time: the null's is reduced and freed before the
     # alternative's is drawn.
     e_null = log_paths(0.0, 1)
     np.exp(e_null, out=e_null)
-    mean_e_null = e_null.mean(axis=0)
-    se_e_null = e_null.std(axis=0, ddof=1) / math.sqrt(reps)
+    mean_e_null, se_e_null = mean_and_se(e_null)
     del e_null
     log_alt = log_paths(theta1, 0)
-    mean_log_alt = log_alt.mean(axis=0)
-    se_log_alt = log_alt.std(axis=0, ddof=1) / math.sqrt(reps)
+    paths_out = min(config["paths_out"], reps)
+    written = log_alt[:paths_out].copy()
+    mean_log_alt, se_log_alt = mean_and_se(log_alt)
+    del log_alt
     # Least-squares slope through the origin of mean log E against n.
     slope = float(np.dot(ns, mean_log_alt) / np.dot(ns, ns))
 
@@ -337,17 +346,16 @@ def run_evalue_growth(config: ExperimentConfig) -> RunResult:
         ["n", "mean_log_e_alt", "se_log_e_alt", "mean_e_null", "se_e_null"],
         list(zip(ns, mean_log_alt, se_log_alt, mean_e_null, se_e_null)),
     )
-    paths_out = min(config["paths_out"], reps)
     paths_path = config.output_dir / "evalue_growth_paths.csv"
     write_csv(
         paths_path,
         ["n"] + [f"log_e_path_{i}" for i in range(paths_out)],
-        list(zip(ns, *[log_alt[i] for i in range(paths_out)])),
+        list(zip(ns, *written)),
     )
     svg_path = config.output_dir / "evalue_growth.svg"
     series = [("mean log e-value", ns.tolist(), mean_log_alt.tolist())]
     series += [
-        (f"path {i}", ns.tolist(), log_alt[i].tolist()) for i in range(min(paths_out, 3))
+        (f"path {i}", ns.tolist(), written[i].tolist()) for i in range(min(paths_out, 3))
     ]
     render_lines(
         series,

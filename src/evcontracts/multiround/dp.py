@@ -87,8 +87,8 @@ def _round_costs(costs: float | Sequence[float], horizon: int) -> tuple[float, .
         out = tuple(float(c) for c in costs)
     if len(out) != horizon:
         raise ValueError(f"need one cost per round: {len(out)} costs, horizon {horizon}")
-    if any(c <= 0.0 for c in out):
-        raise ValueError("round costs must be positive")
+    if not all(0.0 < c < np.inf for c in out):  # false for NaN too
+        raise ValueError(f"round costs must be positive and finite, got {out}")
     return out
 
 

@@ -1,14 +1,17 @@
 """Monte Carlo simulation of multi-round license strategies.
 
-Two simulators live here: a vectorized one for DP policies (updates live on
-the license grid, no withdrawals) and a general one for arbitrary strategies
-following the full license recursion
+Two simulators live here: one for DP policies (updates live on the license
+grid, no withdrawals) and one for arbitrary strategies following the full
+license recursion
 
     L(t) = (L(t-1) + C_t - P(t)) * f_t(Z_t)   when the trial is run,
     L(t) = L(t-1) - P(t)                      otherwise,
 
 with withdrawals P(t) in [0, L(t-1)] and multiplicative update factors f_t.
-Both produce the same columnar episode batch, on which the net-profit
+Both are vectorized over replicates and read their evidence from a stream
+as one (reps, horizon) matrix, replicate r in row r; the strategy simulator
+then draws each stage's decisions from the same generator as arrays. Both
+produce the same columnar episode batch, on which the net-profit
 process N(t) = L(t) + total withdrawals - total costs is estimated per
 stage; under a null agent N is a supermartingale, so every stage mean must
 sit at or below zero up to Monte Carlo noise.
@@ -21,9 +24,9 @@ from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from ..gaussian import GaussianModel, RandomStream, replicate_rng, sample_normal
+from ..gaussian import GaussianModel, RandomStream, sample_normal
 from ..licenses import LicenseFn, null_expectation
-from .dp import DPPolicy
+from .dp import DPPolicy, _round_costs
 
 
 class EpisodeBatch:
@@ -121,15 +124,22 @@ def simulate_policy(
 
 
 class StrategyAction(NamedTuple):
-    stop: bool
-    withdraw: float = 0.0
-    run: bool = False
+    """One stage's decisions for all replicates: ``stop``, ``withdraw`` and
+    ``run`` are per-replicate arrays or scalars shared by all; ``factor`` is
+    the stage's update, required when any replicate runs the trial."""
+
+    stop: bool | np.ndarray
+    withdraw: float | np.ndarray = 0.0
+    run: bool | np.ndarray = False
     factor: LicenseFn | None = None
 
 
 class Strategy(Protocol):
+    """Decides stage t (1-based) for every replicate from the array of
+    current license values, drawing its randomness from ``rng``."""
+
     def decide(
-        self, t: int, license_value: float, rng: np.random.Generator
+        self, t: int, license_values: np.ndarray, rng: np.random.Generator
     ) -> StrategyAction: ...
 
 
@@ -141,38 +151,39 @@ def simulate_strategy(
     reps: int,
     stream: RandomStream,
 ) -> EpisodeBatch:
-    """Run an arbitrary strategy through the full license recursion."""
-    if len(costs) != horizon:
-        raise ValueError("need one round cost per stage")
-    T = horizon
-    costs_paid = np.zeros((reps, T))
-    withdrawals = np.zeros((reps, T))
-    indicators = np.zeros((reps, T), dtype=bool)
-    evidence = np.full((reps, T), np.nan)
-    licenses = np.zeros((reps, T))
+    """Run an arbitrary strategy through the full license recursion.
+
+    The stream's one generator first draws the (reps, horizon) evidence
+    matrix, replicate r in row r (the matrix ``simulate_policy`` reads), then
+    each stage's decisions for all replicates at once. Stopped replicates
+    keep their license; withdrawals are clipped to [0, license].
+    """
+    if reps < 1:
+        raise ValueError(f"need at least one replicate, got {reps}")
+    model, costs = GaussianModel(theta_true), np.asarray(_round_costs(costs, horizon))
+    rng = stream.generator()
+    z = rng.normal(model.mean, model.sd, size=(reps, horizon))
+
+    withdrawals = np.zeros((reps, horizon))
+    indicators = np.zeros((reps, horizon), dtype=bool)
+    licenses = np.zeros((reps, horizon))
     tau = np.zeros(reps, dtype=np.int64)
-    for r in range(reps):
-        rng = replicate_rng(stream, r)
-        level = 0.0
-        for t in range(1, T + 1):
-            action = strategy.decide(t, level, rng)
-            if action.stop:
-                break
-            withdraw = min(max(action.withdraw, 0.0), level)
-            level -= withdraw
-            withdrawals[r, t - 1] = withdraw
-            if action.run:
-                if action.factor is None:
-                    raise ValueError("a run action must carry an update factor")
-                z = rng.normal(theta_true, 1.0)
-                evidence[r, t - 1] = z
-                costs_paid[r, t - 1] = costs[t - 1]
-                indicators[r, t - 1] = True
-                level = (level + costs[t - 1]) * float(action.factor(z))
-            licenses[r, t - 1] = level
-            tau[r] = t
-        licenses[r, tau[r]:] = level
-    return EpisodeBatch(costs_paid, withdrawals, indicators, evidence, licenses, tau)
+    level = np.zeros(reps)
+    active = np.ones(reps, dtype=bool)
+    for k in range(horizon):
+        action = strategy.decide(k + 1, level, rng)
+        active &= ~np.asarray(action.stop, dtype=bool)
+        withdrawals[:, k] = np.where(active, np.clip(action.withdraw, 0.0, level), 0.0)
+        level -= withdrawals[:, k]
+        run = indicators[:, k] = active & action.run
+        if run.any():
+            if action.factor is None:
+                raise ValueError("a run action must carry an update factor")
+            level[run] = (level[run] + costs[k]) * action.factor(z[run, k])
+        licenses[:, k] = level
+        tau[active] = k + 1
+    evidence = np.where(indicators, z, np.nan)
+    return EpisodeBatch(indicators * costs, withdrawals, indicators, evidence, licenses, tau)
 
 
 def random_factor_license(rng: np.random.Generator, max_breaks: int = 4) -> LicenseFn:
@@ -214,18 +225,18 @@ class RandomizedAlignedStrategy:
         )
 
     def decide(
-        self, t: int, license_value: float, rng: np.random.Generator
+        self, t: int, license_values: np.ndarray, rng: np.random.Generator
     ) -> StrategyAction:
+        # one row of uniforms per replicate: stop, withdraw, run
         k = t - 1
-        if rng.random() < self.stop_probs[k]:
-            return StrategyAction(stop=True)
-        withdraw = 0.0
-        if license_value > 0.0 and rng.random() < self.withdraw_probs[k]:
-            withdraw = self.withdraw_fracs[k] * license_value
-        if rng.random() < self.run_probs[k]:
-            return StrategyAction(stop=False, withdraw=withdraw, run=True,
-                                  factor=self.factors[k])
-        return StrategyAction(stop=False, withdraw=withdraw, run=False)
+        u = rng.random((len(license_values), 3))
+        withdraw = (license_values > 0.0) & (u[:, 1] < self.withdraw_probs[k])
+        return StrategyAction(
+            stop=u[:, 0] < self.stop_probs[k],
+            withdraw=np.where(withdraw, self.withdraw_fracs[k] * license_values, 0.0),
+            run=u[:, 2] < self.run_probs[k],
+            factor=self.factors[k],
+        )
 
 
 @dataclass(frozen=True)
@@ -241,13 +252,9 @@ class SingleStageStrategy:
     factor: LicenseFn
 
     def decide(
-        self, t: int, license_value: float, rng: np.random.Generator
+        self, t: int, license_values: np.ndarray, rng: np.random.Generator
     ) -> StrategyAction:
-        if t < self.stage:
-            return StrategyAction(stop=False)
-        if t == self.stage:
-            return StrategyAction(stop=False, run=True, factor=self.factor)
-        return StrategyAction(stop=True)
+        return StrategyAction(stop=t > self.stage, run=t == self.stage, factor=self.factor)
 
 
 @dataclass(frozen=True)
@@ -264,10 +271,14 @@ def supermartingale_check(
 ) -> SupermartingaleReport:
     """Estimate E[N(t)] per stage and E[N(tau)] on null-generated episodes.
 
-    Passes when every estimate is at most three standard errors above zero.
-    The costs argument recomputes the paid-cost ledger from the indicators,
-    so a batch with inconsistent bookkeeping is rejected.
+    Passes when every estimate is at most three standard errors above zero;
+    a standard error needs at least two episodes. The costs argument
+    recomputes the paid-cost ledger from the indicators, so a batch with
+    inconsistent bookkeeping is rejected.
     """
+    n = len(episodes)
+    if n < 2:
+        raise ValueError(f"need at least two episodes for a standard error, got {n}")
     costs = np.asarray(costs, dtype=float)
     if costs.shape != (episodes.horizon,):
         raise ValueError("need one round cost per stage")
@@ -275,15 +286,11 @@ def supermartingale_check(
     if not np.allclose(implied, episodes.costs_paid, rtol=0.0, atol=1e-12):
         raise ValueError("episode cost ledger disagrees with the given costs")
     paths = episodes.net_profit_paths()
-    n = paths.shape[0]
     means = paths.mean(axis=0)
     ses = paths.std(axis=0, ddof=1) / np.sqrt(n)
-    terminal = episodes.profit
-    terminal_mean = float(terminal.mean())
-    terminal_se = float(terminal.std(ddof=1) / np.sqrt(n))
-    passes = bool(
-        np.all(means <= 3.0 * ses) and terminal_mean <= 3.0 * terminal_se
-    )
+    terminal_mean = float(episodes.profit.mean())
+    terminal_se = float(episodes.profit.std(ddof=1) / np.sqrt(n))
+    passes = bool(np.all(means <= 3.0 * ses) and terminal_mean <= 3.0 * terminal_se)
     return SupermartingaleReport(
         stage_means=tuple(float(m) for m in means),
         stage_ses=tuple(float(s) for s in ses),
@@ -295,13 +302,5 @@ def supermartingale_check(
 
 def episodes_to_csv_rows(episodes: EpisodeBatch) -> list[tuple]:
     """Rows (rep, tau, terminal_license, total_cost, profit) for export."""
-    return [
-        (
-            r,
-            int(episodes.tau[r]),
-            float(episodes.terminal_license[r]),
-            float(episodes.total_cost[r]),
-            float(episodes.profit[r]),
-        )
-        for r in range(len(episodes))
-    ]
+    columns = (episodes.tau, episodes.terminal_license, episodes.total_cost, episodes.profit)
+    return list(zip(range(len(episodes)), *(c.tolist() for c in columns)))

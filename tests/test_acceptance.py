@@ -179,17 +179,21 @@ def test_criterion_7_supermartingale_suite():
     dp_report = supermartingale_check(dp_episodes, costs)
     ok = dp_report.passes
 
+    # Each aligned strategy fails the 3-SE check by chance about 0.35% of
+    # the time, so requiring all 50 to pass would fail about 16% of stream
+    # sets. Allowing at most 2 flags keeps the false-alarm rate at
+    # P(Bin(50, 0.0035) >= 3) = 7.4e-4, below one one-sided 3-SE test's 1.35e-3.
     rng = np.random.default_rng(424242)
     saw_withdrawals = False
+    flagged = 0
     for k in range(50):
         strategy = RandomizedAlignedStrategy.draw(rng, horizon)
         episodes = simulate_strategy(
             strategy, horizon, costs, 0.0, 2000, RandomStream(90_000 + k, 0)
         )
         saw_withdrawals = saw_withdrawals or episodes.total_withdrawal.max() > 0.0
-        check = supermartingale_check(episodes, costs)
-        ok = ok and check.passes
-    ok = ok and saw_withdrawals
+        flagged += not supermartingale_check(episodes, costs).passes
+    ok = ok and flagged <= 2 and saw_withdrawals
 
     factor = random_factor_license(np.random.default_rng(11)).scaled(1.2)
     assert abs(null_expectation(factor, NULL) - 1.2) <= 1e-9

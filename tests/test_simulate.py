@@ -26,6 +26,40 @@ NULL = GaussianModel(0.0)
 GRID = LicenseGrid.from_cap(1.0, 50)
 POLICY = backward_induction(4, 0.1, 1.2, GRID)
 COSTS = [0.1] * 4
+BATCH_ARRAYS = ("costs_paid", "withdrawals", "indicators", "evidence", "licenses", "tau")
+
+
+def reference_aligned_episodes(strategy, costs, theta_true, reps, stream):
+    """RandomizedAlignedStrategy run one replicate at a time on the draws
+    simulate_strategy makes: the (reps, horizon) evidence matrix, then one
+    (reps, 3) block of stop/withdraw/run uniforms per stage."""
+    T = len(costs)
+    rng = stream.generator()
+    z = rng.normal(theta_true, 1.0, (reps, T))
+    u = [rng.random((reps, 3)) for _ in range(T)]
+    out = {name: np.zeros((reps, T)) for name in BATCH_ARRAYS[:-1]}
+    out["indicators"] = out["indicators"].astype(bool)
+    out["evidence"][:] = np.nan
+    out["tau"] = np.zeros(reps, dtype=np.int64)
+    for r in range(reps):
+        level = 0.0
+        for k in range(T):
+            stop_u, withdraw_u, run_u = u[k][r]
+            if stop_u < strategy.stop_probs[k]:
+                break
+            if level > 0.0 and withdraw_u < strategy.withdraw_probs[k]:
+                withdraw = strategy.withdraw_fracs[k] * level
+                out["withdrawals"][r, k] = withdraw
+                level -= withdraw
+            if run_u < strategy.run_probs[k]:
+                out["evidence"][r, k] = z[r, k]
+                out["costs_paid"][r, k] = costs[k]
+                out["indicators"][r, k] = True
+                level = (level + costs[k]) * float(strategy.factors[k](z[r, k]))
+            out["licenses"][r, k] = level
+            out["tau"][r] = k + 1
+        out["licenses"][r, out["tau"][r]:] = level
+    return out
 
 
 class TestSimulatePolicy:
@@ -111,6 +145,26 @@ class TestSimulateStrategy:
             assert np.all(episodes.withdrawals[:, k] <= level + 1e-12)
             level = episodes.licenses[:, k]
 
+    def test_evidence_is_the_sample_normal_matrix(self):
+        # the same (reps, horizon) matrix simulate_policy reads from the stream
+        strategy = RandomizedAlignedStrategy.draw(np.random.default_rng(3), 4)
+        stream = RandomStream(43, 1)
+        episodes = simulate_strategy(strategy, 4, COSTS, 0.5, 300, stream)
+        z = sample_normal(GaussianModel(0.5), stream, (300, 4))
+        run = episodes.indicators
+        assert run.any() and not run.all()
+        assert np.array_equal(episodes.evidence[run], z[run])
+        assert np.all(np.isnan(episodes.evidence[~run]))
+
+    def test_matches_per_replicate_reference(self):
+        strategy = RandomizedAlignedStrategy.draw(np.random.default_rng(5), 4)
+        stream = RandomStream(44, 0)
+        episodes = simulate_strategy(strategy, 4, COSTS, 0.0, 500, stream)
+        expected = reference_aligned_episodes(strategy, COSTS, 0.0, 500, stream)
+        assert episodes.total_withdrawal.max() > 0.0
+        for name in BATCH_ARRAYS:
+            assert np.array_equal(getattr(episodes, name), expected[name], equal_nan=True), name
+
     def test_factor_licenses_are_evalues(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
@@ -146,6 +200,11 @@ class TestSupermartingale:
         report = supermartingale_check(episodes, COSTS)
         assert not report.passes
 
+    def test_needs_two_episodes(self):
+        episodes = simulate_policy(POLICY, 0.0, 1, RandomStream(73, 0))
+        with pytest.raises(ValueError, match="at least two episodes.* got 1"):
+            supermartingale_check(episodes, POLICY.costs)
+
     def test_cost_ledger_validation(self):
         episodes = simulate_policy(POLICY, 0.0, 100, RandomStream(73, 0))
         with pytest.raises(ValueError):
@@ -158,6 +217,22 @@ class TestValidation:
     def test_reps_positive(self):
         with pytest.raises(ValueError):
             simulate_policy(POLICY, 1.0, 0, RandomStream(1, 0))
+
+    def test_strategy_reps_positive(self):
+        strategy = SingleStageStrategy(1, LicenseFn([], [1.0]))
+        with pytest.raises(ValueError, match="at least one replicate"):
+            simulate_strategy(strategy, 4, COSTS, 0.0, 0, RandomStream(1, 0))
+
+    def test_strategy_theta_finite(self):
+        strategy = SingleStageStrategy(1, LicenseFn([], [1.0]))
+        with pytest.raises(ValueError, match="mean must be finite"):
+            simulate_strategy(strategy, 4, COSTS, math.nan, 10, RandomStream(1, 0))
+
+    @pytest.mark.parametrize("bad", [-0.1, math.nan, math.inf, -math.inf])
+    def test_strategy_costs_positive_finite(self, bad):
+        strategy = SingleStageStrategy(1, LicenseFn([], [1.0]))
+        with pytest.raises(ValueError, match="round costs must be positive and finite"):
+            simulate_strategy(strategy, 4, [0.1, bad, 0.1, 0.1], 0.0, 10, RandomStream(1, 0))
 
     def test_strategy_needs_cost_per_round(self):
         strategy = SingleStageStrategy(1, LicenseFn([], [1.0]))
