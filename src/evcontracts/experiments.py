@@ -297,15 +297,19 @@ def run_evalue_growth(config: ExperimentConfig) -> RunResult:
     theta1^2/2 per observation; under the null the mean of E itself stays at
     one (martingale), which is what caps a bluffing agent. Each hypothesis
     draws one (reps, n_max) evidence matrix, replicate r in row r: the
-    alternative from stream 0, the null from stream 1.
+    alternative from stream 0, the null from stream 1. A theta1 so large
+    that the statistics overflow is a config error, raised before the
+    output directory is created.
     """
     result = RunResult()
     theta1 = config["theta1"]
     n_max, reps = config["n_max"], config["reps"]
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     seed = config["seed"]
     ns = np.arange(1, n_max + 1)
-    drift = theta1**2 / 2.0 * ns
+    try:
+        half_square = theta1**2 / 2.0
+    except OverflowError:  # |theta1| above about 1.3e154; rejected below
+        half_square = math.inf
 
     def log_paths(mean: float, stream_index: int) -> np.ndarray:
         # log E after n observations, theta1 * sum(z) - n * theta1^2 / 2, built
@@ -327,19 +331,28 @@ def run_evalue_growth(config: ExperimentConfig) -> RunResult:
         return mean, np.sqrt(x.sum(axis=0) / (reps - 1)) / math.sqrt(reps)
 
     # One matrix at a time: the null's is reduced and freed before the
-    # alternative's is drawn.
-    e_null = log_paths(0.0, 1)
-    np.exp(e_null, out=e_null)
-    mean_e_null, se_e_null = mean_and_se(e_null)
-    del e_null
-    log_alt = log_paths(theta1, 0)
-    paths_out = min(config["paths_out"], reps)
-    written = log_alt[:paths_out].copy()
-    mean_log_alt, se_log_alt = mean_and_se(log_alt)
-    del log_alt
-    # Least-squares slope through the origin of mean log E against n.
-    slope = float(np.dot(ns, mean_log_alt) / np.dot(ns, ns))
+    # alternative's is drawn. Overflow is checked once, on the results.
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = half_square * ns
+        e_null = log_paths(0.0, 1)
+        np.exp(e_null, out=e_null)
+        mean_e_null, se_e_null = mean_and_se(e_null)
+        del e_null
+        log_alt = log_paths(theta1, 0)
+        paths_out = min(config["paths_out"], reps)
+        written = log_alt[:paths_out].copy()
+        mean_log_alt, se_log_alt = mean_and_se(log_alt)
+        del log_alt
+        # Least-squares slope through the origin of mean log E against n.
+        slope = float(np.dot(ns, mean_log_alt) / np.dot(ns, ns))
+    stats = (mean_log_alt, se_log_alt, mean_e_null, se_e_null, written, slope)
+    if not all(np.isfinite(x).all() for x in stats):
+        raise ConfigError(
+            f"bad value for 'theta1' and 'n_max': theta1 {theta1!r} over n_max "
+            f"{n_max} observations overflows the e-value statistics"
+        )
 
+    config.output_dir.mkdir(parents=True, exist_ok=True)
     growth_path = config.output_dir / "evalue_growth.csv"
     write_csv(
         growth_path,
@@ -367,7 +380,7 @@ def run_evalue_growth(config: ExperimentConfig) -> RunResult:
     result.files += [growth_path, paths_path, svg_path, write_manifest(config)]
     result.summary = {
         "slope": slope,
-        "theory_slope": theta1**2 / 2.0,
+        "theory_slope": half_square,
         "max_null_mean": float(mean_e_null.max()),
         "null_mean_ok": bool(np.all(mean_e_null <= 1.0 + 3.0 * se_e_null)),
     }
@@ -409,37 +422,23 @@ def run_fda_audit(config: ExperimentConfig) -> RunResult:
     return result
 
 
-def _one_round_profits(
-    design_theta: float,
-    true_theta: float,
-    cost: float,
-    cap: float,
-    sd: float,
-    reps: int,
-    stream: RandomStream,
-) -> np.ndarray:
-    """Monte Carlo profits of a one-round agent playing its best response.
-
-    The license is optimal for ``design_theta``; evidence is drawn from
-    ``true_theta``, which covers bluffing null agents.
-    """
-    f = np_best_response(0.0, design_theta, cost, cap, sd=sd)
-    z = sample_normal(GaussianModel(true_theta, sd), stream, reps)
-    return np.asarray(f(z), dtype=float) - cost
-
-
 def _multiround_cell(
     config: ExperimentConfig, cap: float, theta1: float, stream_index: int
 ):
-    """DP policy, its simulated episodes and both one-round references for
-    one (cap, effect) cell, on streams stream_index .. stream_index + 2.
+    """DP policy, its simulated episodes and the license payouts of both
+    one-round references for one (cap, effect) cell.
+
+    The three agents read one (reps, horizon) evidence matrix drawn from
+    stream ``stream_index`` (common random numbers): the DP agent reads row
+    r, the same-cost agent applies its best response to column 0, and the
+    pooled agent applies its best response to the row mean, which is
+    N(theta1, 1/sqrt(horizon)).
 
     An effect at most zero plays the theta_star agent's strategies against
     null evidence. A design effect too large for the multiplier's double
     range is a config error naming the key it came from.
     """
     T, cost = config["horizon"], config["cost"]
-    reps, seed = config["reps"], config["seed"]
     design_theta = theta1 if theta1 > 0.0 else config["theta_star"]
     try:
         policy = backward_induction(
@@ -451,63 +450,55 @@ def _multiround_cell(
         raise ConfigError(
             f"bad value for {key!r}: {design_theta!r} at cap {cap:g} ({err})"
         ) from err
-    episodes = simulate_policy(policy, theta1, reps, RandomStream(seed, stream_index))
-    one = _one_round_profits(
-        design_theta, theta1, cost, cap, 1.0, reps, RandomStream(seed, stream_index + 1)
+    episodes = simulate_policy(
+        policy, theta1, config["reps"], RandomStream(config["seed"], stream_index)
     )
-    five = _one_round_profits(
-        design_theta, theta1, T * cost, cap, 1.0 / math.sqrt(T), reps,
-        RandomStream(seed, stream_index + 2),
-    )
-    return policy, episodes, one, five
+    z = episodes.evidence
+    one = np_best_response(0.0, design_theta, cost, cap)
+    pooled = np_best_response(0.0, design_theta, T * cost, cap, sd=1.0 / math.sqrt(T))
+    return policy, episodes, one(z[:, 0]), pooled(z.mean(axis=1))
 
 
 def run_multiround(config: ExperimentConfig) -> RunResult:
     """Multi-round DP agent against two one-round references.
 
-    The one-round references pay the stage cost once (same evidence) or five
-    stages' cost upfront for five observations' worth of evidence, both with
-    their closed-form best-response licenses. Grid points with effect at
-    most zero are simulated as bluffers: the agents play the strategies an
-    honest agent of the focal effect would, against evidence from the true
-    (null) effect, so alignment caps their mean profit at zero.
+    The one-round references pay the stage cost once for one observation or
+    every stage's cost upfront for the mean of horizon observations, both
+    with their closed-form best-response licenses. Grid points with effect
+    at most zero are simulated as bluffers: the agents play the strategies
+    an honest agent of the focal effect would, against evidence from the
+    true (null) effect, so alignment caps their mean profit at zero.
+
+    Cell i reads stream i. The cells are the (cap, effect) grid in order,
+    then the theta_star cell at the smallest cap (histograms, policy table
+    and episode ledger), appended only when no grid cell is that cell.
     """
     result = RunResult()
-    caps = config["caps"]
-    root = math.sqrt(config["reps"])
+    caps, star = config["caps"], config["theta_star"]
+    T, cost, root = config["horizon"], config["cost"], math.sqrt(config["reps"])
+
+    def is_star(cap: float, theta1: float) -> bool:
+        return cap == min(caps) and math.isclose(theta1, star, rel_tol=0.0, abs_tol=1e-12)
+
+    cells = [(cap, theta1) for cap in caps for theta1 in config["theta_grid"]]
+    n_grid = len(cells)
+    if not any(is_star(*cell) for cell in cells):
+        cells.append((min(caps), star))
 
     # Every cell is solved and simulated before anything is written, so a
-    # config error found by the solver leaves no output directory.
-    stream_index = 0
-    curve_summaries = {}
-    star_cell = None
-    for cap in caps:
-        rows = []
-        for theta1 in config["theta_grid"]:
-            cell = _multiround_cell(config, cap, theta1, stream_index)
-            stream_index += 3
-            _, episodes, one, five = cell
-            rows.append(
-                (
-                    theta1,
-                    float(episodes.profit.mean()),
-                    float(episodes.profit.std(ddof=1) / root),
-                    float(one.mean()),
-                    float(one.std(ddof=1) / root),
-                    float(five.mean()),
-                    float(five.std(ddof=1) / root),
-                )
-            )
-            if cap == min(caps) and math.isclose(
-                theta1, config["theta_star"], rel_tol=0.0, abs_tol=1e-12
-            ):
-                star_cell = cell
-        curve_summaries[cap] = rows
-    if star_cell is None:
-        # theta_star not on the grid: run it separately for the histograms.
-        star_cell = _multiround_cell(
-            config, min(caps), config["theta_star"], stream_index
-        )
+    # config error found by the solver leaves no output directory. Only the
+    # curve rows and the star cell's arrays are kept.
+    curve_summaries = {cap: [] for cap in caps}
+    for i, (cap, theta1) in enumerate(cells):
+        cell = _multiround_cell(config, cap, theta1, i)
+        _, episodes, one, five = cell
+        if i < n_grid:
+            row = [theta1]
+            for x, paid in ((episodes.profit, 0.0), (one, cost), (five, T * cost)):
+                row += [float(x.mean()) - paid, float(x.std(ddof=1)) / root]
+            curve_summaries[cap].append(tuple(row))
+        if is_star(cap, theta1):
+            star_cell = cell
 
     config.output_dir.mkdir(parents=True, exist_ok=True)
     _write_star_outputs(config, result, *star_cell)
@@ -543,14 +534,13 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
 
 def _write_star_outputs(config, result, policy, episodes, one, five) -> None:
     """Terminal-license and rounds-used distributions at the focal effect,
-    plus the full policy table and per-episode ledger."""
+    plus the full policy table and per-episode ledger. ``one`` and ``five``
+    are the one-round references' license payouts."""
     cap = policy.grid.cap
-    cost = policy.costs[0]
     values, counts = np.unique(episodes.terminal_license, return_counts=True)
     rows = [("multi_round", v, c) for v, c in zip(values, counts)]
-    for name, profits, paid in (("one_round", one, cost), ("five_data", five, len(policy.costs) * cost)):
-        terminal = profits + paid
-        vals, cnts = np.unique(np.round(terminal, 12), return_counts=True)
+    for name, payouts in (("one_round", one), ("five_data", five)):
+        vals, cnts = np.unique(payouts, return_counts=True)
         rows += [(name, v, c) for v, c in zip(vals, cnts)]
     term_path = config.output_dir / "multiround_terminal.csv"
     write_csv(term_path, ["agent", "terminal_license", "count"], rows)
@@ -574,7 +564,7 @@ def _write_star_outputs(config, result, policy, episodes, one, five) -> None:
         "mean_rounds": float(episodes.tau.mean()),
         "mean_total_cost": float(episodes.total_cost.mean()),
         "mean_profit_multi": float(episodes.profit.mean()),
-        "mean_profit_five_data": float(five.mean()),
+        "mean_profit_five_data": float(five.mean()) - config["horizon"] * config["cost"],
     }
 
 

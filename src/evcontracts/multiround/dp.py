@@ -81,6 +81,8 @@ def _join_12g(xs: tuple[float, ...]) -> str:
 
 
 def _round_costs(costs: float | Sequence[float], horizon: int) -> tuple[float, ...]:
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
     if np.isscalar(costs):
         out = (float(costs),) * horizon
     else:
@@ -108,8 +110,6 @@ def backward_induction(
     Stopping keeps the current level, so continuation is chosen only when it
     is strictly better.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
     if not theta1 > 0.0:
         raise ValueError(
             f"the update breakpoints divide by theta1; need theta1 > 0, got {theta1}"

@@ -11,10 +11,12 @@ with withdrawals P(t) in [0, L(t-1)] and multiplicative update factors f_t.
 Both are vectorized over replicates and read their evidence from a stream
 as one (reps, horizon) matrix, replicate r in row r; the strategy simulator
 then draws each stage's decisions from the same generator as arrays. Both
-produce the same columnar episode batch, on which the net-profit
-process N(t) = L(t) + total withdrawals - total costs is estimated per
-stage; under a null agent N is a supermartingale, so every stage mean must
-sit at or below zero up to Monte Carlo noise.
+produce the same columnar episode batch. It keeps the whole evidence
+matrix, so other agents can be scored on the very same draws (common random
+numbers). On it the net-profit process N(t) = L(t) + total withdrawals -
+total costs is estimated per stage; under a null agent N is a
+supermartingale, so every stage mean must sit at or below zero up to Monte
+Carlo noise.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ class EpisodeBatch:
 
     Per-round arrays have one column per round; license and cumulative
     columns are frozen at their exit values past an episode's tau.
+    ``evidence`` is the full (reps, horizon) matrix the simulator drew,
+    including the cells of rounds that were not run; the evidence the
+    episodes actually saw is ``evidence[indicators]``.
     """
 
     def __init__(
@@ -119,8 +124,7 @@ def simulate_policy(
             costs_paid[group, t - 1] = policy.costs[t - 1]
             indicators[group, t - 1] = True
             tau[group] = t
-    evidence = np.where(indicators, z, np.nan)
-    return EpisodeBatch(costs_paid, withdrawals, indicators, evidence, licenses, tau)
+    return EpisodeBatch(costs_paid, withdrawals, indicators, z, licenses, tau)
 
 
 class StrategyAction(NamedTuple):
@@ -182,8 +186,7 @@ def simulate_strategy(
             level[run] = (level[run] + costs[k]) * action.factor(z[run, k])
         licenses[:, k] = level
         tau[active] = k + 1
-    evidence = np.where(indicators, z, np.nan)
-    return EpisodeBatch(indicators * costs, withdrawals, indicators, evidence, licenses, tau)
+    return EpisodeBatch(indicators * costs, withdrawals, indicators, z, licenses, tau)
 
 
 def random_factor_license(rng: np.random.Generator, max_breaks: int = 4) -> LicenseFn:

@@ -13,7 +13,15 @@ from evcontracts.experiments import (
     resolve_config,
     run_evalue_growth,
     run_multiround,
+    write_csv,
 )
+from evcontracts.multiround import (
+    LicenseGrid,
+    backward_induction,
+    episodes_to_csv_rows,
+    simulate_policy,
+)
+from evcontracts.single_round import np_best_response
 
 
 def read_csv(path):
@@ -410,10 +418,12 @@ class TestMultiroundCommand:
         assert at_cap / total >= 0.95
 
     def test_policy_and_episode_bytes_are_pinned(self, tmp_path):
-        # Guards refactors of the DP and the policy simulator: the policy
-        # table and the per-episode ledger must keep their exact bytes. The
-        # digests were recorded with numpy 2.4.6 and scipy 1.17.1; another
-        # numpy or scipy may move the last printed digit and need new ones.
+        # Guards refactors of the DP, the policy simulator and the one-round
+        # references: the policy table, the per-episode ledger, the profit
+        # curves and the terminal histograms must keep their exact bytes.
+        # The digests were recorded with numpy 2.4.6 and scipy 1.17.1;
+        # another numpy or scipy may move the last printed digit and need
+        # new ones.
         out = tmp_path / "m"
         code = main(
             ["multiround", "--out", str(out), "--reps", "200",
@@ -423,14 +433,72 @@ class TestMultiroundCommand:
         assert code == EXIT_OK
         digests = {
             name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in ("multiround_policy.txt", "multiround_episodes.csv")
+            for name in (
+                "multiround_policy.txt",
+                "multiround_episodes.csv",
+                "multiround_profit_cap1.csv",
+                "multiround_profit_cap5.csv",
+                "multiround_terminal.csv",
+            )
         }
         assert digests == {
             "multiround_policy.txt":
                 "3eb4063bc8524c640c6a5a785a004b255ac559f3746258f402f39e80d3944b99",
             "multiround_episodes.csv":
                 "87f73b50054c12adffd616a036afd0f38844ca935d8821e6dfdb83183dfeeb89",
+            "multiround_profit_cap1.csv":
+                "bc4058ca6a1052ca61dbb0c4159f0eb602eac7122f7222685b439a132570d47c",
+            "multiround_profit_cap5.csv":
+                "199ddba17e959ae64e896e4f5907548e24a6373b391f8133d8ffc49f49748318",
+            "multiround_terminal.csv":
+                "288e87056c3a0c260d1de12917116bbefb5d08b3a5c1bc7bd07d50277f934382",
         }
+
+
+class TestMultiroundCommonRandomNumbers:
+    """Cell i of a multiround run draws one evidence matrix from stream i,
+    and all three agents read it."""
+
+    OVERRIDES = {"reps": "300", "levels": "10", "horizon": "3", "caps": "1,5",
+                 "theta_grid": "0.5,-0.5"}
+
+    def config(self, tmp_path, **extra):
+        return resolve_config("multiround", tmp_path / "m", overrides={**self.OVERRIDES, **extra})
+
+    # the bluffing cell (theta -0.5) designs its licenses for theta_star
+    @pytest.mark.parametrize("cap, theta1, index", ((1.0, 0.5, 0), (5.0, 0.5, 2), (5.0, -0.5, 3)))
+    def test_agents_read_the_cell_matrix(self, tmp_path, cap, theta1, index):
+        config = self.config(tmp_path)
+        _, episodes, one, five = experiments._multiround_cell(config, cap, theta1, index)
+        z = sample_normal(GaussianModel(theta1), RandomStream(config["seed"], index), (300, 3))
+        assert np.array_equal(episodes.evidence, z)
+        design = theta1 if theta1 > 0.0 else config["theta_star"]
+        same_cost = np_best_response(0.0, design, 0.1, cap)
+        pooled = np_best_response(0.0, design, 3 * 0.1, cap, sd=1.0 / np.sqrt(3))
+        assert np.array_equal(one, same_cost(z[:, 0]))
+        assert np.array_equal(five, pooled(z.mean(axis=1)))
+
+    def test_off_grid_theta_star_draws_the_next_stream(self, tmp_path):
+        # two caps by two effects: the theta_star cell is cell 4
+        config = self.config(tmp_path)
+        run_multiround(config)
+        policy = backward_induction(3, 0.1, config["theta_star"], LicenseGrid.from_cap(1.0, 10))
+        expected = simulate_policy(
+            policy, config["theta_star"], 300, RandomStream(config["seed"], 4)
+        )
+        path = tmp_path / "expected.csv"
+        write_csv(path, ["rep", "tau", "terminal_license", "total_cost", "profit"],
+                  episodes_to_csv_rows(expected))
+        assert (tmp_path / "m" / "multiround_episodes.csv").read_bytes() == path.read_bytes()
+
+    def test_one_round_and_pooled_agree_at_horizon_one(self, tmp_path):
+        result = run_multiround(self.config(tmp_path, horizon="1", theta_star="0.5"))
+        for rows in result.summary["profit_curves"].values():
+            for row in rows:
+                assert row[3:5] == row[5:7]
+        _, rows = read_csv(tmp_path / "m" / "multiround_terminal.csv")
+        one = [r[1:] for r in rows if r[0] == "one_round"]
+        assert one and one == [r[1:] for r in rows if r[0] == "five_data"]
 
 
 class TestBestResponseCommand:

@@ -179,3 +179,15 @@ def test_cli_rejects_welfare_cap_before_writing(tmp_path, capsys, params):
     err = capsys.readouterr().err
     assert "bad value for 'cost' and 'ratio_a'" in err
     assert not out.exists()
+
+
+# theta1**2 overflows at 1e200; at 1e154 the statistics come out inf or NaN
+@pytest.mark.parametrize("theta1", ["1e154", "1e200"])
+def test_cli_rejects_evalue_overflow_before_writing(tmp_path, capsys, theta1):
+    out = tmp_path / "out"
+    argv = ["evalue-growth", "--out", str(out), "--reps", "20", "--param", f"theta1={theta1}"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "bad value for 'theta1' and 'n_max'" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -39,7 +39,7 @@ def reference_aligned_episodes(strategy, costs, theta_true, reps, stream):
     u = [rng.random((reps, 3)) for _ in range(T)]
     out = {name: np.zeros((reps, T)) for name in BATCH_ARRAYS[:-1]}
     out["indicators"] = out["indicators"].astype(bool)
-    out["evidence"][:] = np.nan
+    out["evidence"] = z
     out["tau"] = np.zeros(reps, dtype=np.int64)
     for r in range(reps):
         level = 0.0
@@ -52,7 +52,6 @@ def reference_aligned_episodes(strategy, costs, theta_true, reps, stream):
                 out["withdrawals"][r, k] = withdraw
                 level -= withdraw
             if run_u < strategy.run_probs[k]:
-                out["evidence"][r, k] = z[r, k]
                 out["costs_paid"][r, k] = costs[k]
                 out["indicators"][r, k] = True
                 level = (level + costs[k]) * float(strategy.factors[k](z[r, k]))
@@ -75,14 +74,13 @@ class TestSimulatePolicy:
         assert np.array_equal(small.profit, large.profit[:50])
 
     def test_evidence_is_one_matrix_from_the_stream(self):
-        # episode r reads row r of one (reps, horizon) draw
+        # episode r reads row r of one (reps, horizon) draw, kept whole
         stream = RandomStream(5, 2)
         episodes = simulate_policy(POLICY, 1.2, 300, stream)
         z = sample_normal(GaussianModel(1.2), stream, (300, POLICY.horizon))
         run = episodes.indicators
-        assert run.any()
-        assert np.array_equal(episodes.evidence[run], z[run])
-        assert np.all(np.isnan(episodes.evidence[~run]))
+        assert run.any() and not run.all()
+        assert np.array_equal(episodes.evidence, z)
 
     def test_mc_mean_matches_root_value(self):
         episodes = simulate_policy(POLICY, 1.2, 40_000, RandomStream(17, 0))
@@ -153,8 +151,7 @@ class TestSimulateStrategy:
         z = sample_normal(GaussianModel(0.5), stream, (300, 4))
         run = episodes.indicators
         assert run.any() and not run.all()
-        assert np.array_equal(episodes.evidence[run], z[run])
-        assert np.all(np.isnan(episodes.evidence[~run]))
+        assert np.array_equal(episodes.evidence, z)
 
     def test_matches_per_replicate_reference(self):
         strategy = RandomizedAlignedStrategy.draw(np.random.default_rng(5), 4)
@@ -238,3 +235,8 @@ class TestValidation:
         strategy = SingleStageStrategy(1, LicenseFn([], [1.0]))
         with pytest.raises(ValueError):
             simulate_strategy(strategy, 3, [0.1], 0.0, 10, RandomStream(1, 0))
+
+    def test_strategy_horizon_positive(self):
+        strategy = SingleStageStrategy(1, LicenseFn([], [1.0]))
+        with pytest.raises(ValueError, match="horizon must be at least 1, got 0"):
+            simulate_strategy(strategy, 0, [], 0.0, 10, RandomStream(1, 0))
