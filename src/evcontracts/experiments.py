@@ -127,7 +127,9 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     },
     "evalue_growth": {
         "seed": Key("int", DEFAULT_SEED),
-        "theta1": Key("float", 0.2),
+        # beyond 2**52 the spacing of doubles near theta1 reaches 1, so a
+        # draw's unit noise is lost to rounding (README, Configuration)
+        "theta1": Key("float", 0.2, above=-(2.0**52), below=2.0**52),
         "n_max": Key("int", 500, at_least=1),
         "reps": Key("int", 10_000, at_least=2),
         "paths_out": Key("int", 10, at_least=0),
@@ -572,14 +574,20 @@ def run_best_response(config: ExperimentConfig) -> RunResult:
     """Closed-form best-response licenses across cost ratios and effects."""
     result = RunResult()
     cap = config["cap"]
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for ratio in config["cost_ratios"]:
+        # each key lies in its domain, but their product may underflow to 0
+        if not ratio * cap > 0.0:
+            raise ConfigError(
+                f"bad value for 'cap' and 'cost_ratios': the cost {ratio!r} * {cap!r} "
+                f"rounds to {ratio * cap!r} and must be positive"
+            )
         threshold = upper_tail_inverse(ratio)
         for theta1 in config["theta_grid"]:
             f = np_best_response(0.0, theta1, ratio * cap, cap)
             power = null_expectation(f, GaussianModel(theta1)) / cap
             rows.append((ratio, theta1, threshold, power, cap * power - ratio * cap))
+    config.output_dir.mkdir(parents=True, exist_ok=True)
     path = config.output_dir / "best_response.csv"
     write_csv(
         path,

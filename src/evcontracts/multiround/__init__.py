@@ -7,12 +7,9 @@ from .optimizer import (
     InfeasibleBudgetError,
     LicenseGrid,
     MultiplierRangeError,
-    alternative_value_of_update,
-    max_spendable,
     null_expectation_of_update,
     optimal_step,
     optimal_steps,
-    pointwise_update,
     solve_lambda,
 )
 from .discrete import DiscretizedEvidence, discrete_root_value
@@ -38,12 +35,9 @@ __all__ = [
     "InfeasibleBudgetError",
     "LicenseGrid",
     "MultiplierRangeError",
-    "alternative_value_of_update",
-    "max_spendable",
     "null_expectation_of_update",
     "optimal_step",
     "optimal_steps",
-    "pointwise_update",
     "solve_lambda",
     "DiscretizedEvidence",
     "discrete_root_value",

@@ -6,9 +6,9 @@ nondecreasing grid-valued updates) is a small combinatorial program. A
 nondecreasing update from n cells to K+1 license levels is a sorted tuple of
 K jump positions in {0..n} (position n means the level is never reached), so
 the whole family is enumerated once and scored against each round's value
-table in one vectorized pass. discrete_root_value is the discretization
-used when the dynamic program must agree exactly with a brute-force policy
-search on the same grid.
+table in one vectorized pass. discrete_root_value plugs that solver into the
+round loop backward_induction runs, so a brute-force policy search on the
+same grid checks the recursion itself, not a copy of it.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ..gaussian import upper_tail_np
+from .dp import _induct, _round_costs
 from .optimizer import LicenseGrid
 
 _FEASIBILITY_SLACK = 1e-12
@@ -63,25 +64,23 @@ class DiscretizedEvidence:
 
 def discrete_root_value(
     horizon: int,
-    cost: float,
+    cost: float | Sequence[float],
     theta1: float,
     grid: LicenseGrid,
     evidence: DiscretizedEvidence,
 ) -> float:
     """Root value of the license game with evidence restricted to the cells.
 
-    Backward induction as in ``backward_induction``, but each round's
-    one-step problem is solved exactly: every nondecreasing grid-valued
-    update on the cells is scored, and the best one whose null spend fits a
-    level's budget (level plus cost, with slack since the feasible set is
-    finite) is that level's continuation. The updates, their null spends
-    and their level-reaching probabilities under the alternative do not
-    depend on the round, so they are built once.
+    Backward induction as in ``backward_induction``, with ``cost`` a scalar
+    or one cost per round, but each round's one-step problem is solved
+    exactly: every nondecreasing grid-valued update on the cells is scored,
+    and the best one whose null spend fits a level's budget (level plus
+    cost, with slack since the feasible set is finite) is that level's
+    continuation. The updates, their null spends and their level-reaching
+    probabilities under the alternative do not depend on the round, so they
+    are built once.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
-    if not cost > 0.0:
-        raise ValueError(f"round cost must be positive, got {cost}")
+    round_costs = _round_costs(cost, horizon)
     # Suffix sums indexed by jump position: S[j] = P(cell >= j); S[n] = 0.
     s0, s1 = (
         np.concatenate((np.cumsum(p[::-1])[::-1], [0.0]))
@@ -94,13 +93,11 @@ def discrete_root_value(
     # budget has a feasible update.
     spend = grid.epsilon * s0[combos].sum(axis=1)
     reach = s1[combos]  # reach[c, k]: P_theta1(update c pays level k + 1 or more)
-    levels = grid.level_values()
-    value = np.minimum(levels, grid.cap)
-    for _ in range(horizon):
+
+    def best_steps(value: np.ndarray, budgets: np.ndarray) -> tuple[None, np.ndarray]:
         objective = value[0] + (np.diff(value)[np.newaxis, :] * reach).sum(axis=1)
-        best = np.array(
-            [objective[spend <= level + cost + _FEASIBILITY_SLACK].max() for level in levels]
-        )
-        continuation = best - cost
-        value = np.where(continuation > levels, continuation, levels)
-    return float(value[0])
+        best = [objective[spend <= budget + _FEASIBILITY_SLACK].max() for budget in budgets]
+        return None, np.array(best)
+
+    tables, _ = _induct(grid, round_costs, best_steps)
+    return float(tables[0][0])

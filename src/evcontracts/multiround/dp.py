@@ -16,7 +16,7 @@ stop/continue mask instead of one update per level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -94,6 +94,35 @@ def _round_costs(costs: float | Sequence[float], horizon: int) -> tuple[float, .
     return out
 
 
+def _induct(
+    grid: LicenseGrid,
+    round_costs: Sequence[float],
+    best_steps: Callable[[np.ndarray, np.ndarray], tuple[object, np.ndarray]],
+) -> tuple[list[np.ndarray], list[tuple[object, np.ndarray]]]:
+    """Backward induction from the capped terminal value over the rounds.
+
+    ``best_steps(value, budgets)`` solves one round: given the next round's
+    value table and each level's budget (level plus the round's cost), it
+    returns the levels' updates and their expected next-round values under
+    the alternative. Stopping keeps the current level, so continuation is
+    chosen only when it is strictly better. Returns the value tables, entry
+    t after t completed rounds, and each round's (updates, go mask) in round
+    order.
+    """
+    levels = grid.level_values()
+    value = np.minimum(levels, grid.cap)
+    tables = [value]
+    rounds = []
+    for cost in reversed(round_costs):
+        updates, alt_values = best_steps(value, levels + cost)
+        continuation = alt_values - cost
+        go = continuation > levels
+        value = np.where(go, continuation, levels)
+        tables.append(value)
+        rounds.append((updates, go))
+    return tables[::-1], rounds[::-1]
+
+
 def backward_induction(
     horizon: int,
     costs: float | Sequence[float],
@@ -106,9 +135,6 @@ def backward_induction(
     the concave nondecreasing hull of the next round's value table is built
     once per round and the budgets of all levels are solved against it
     together, in one bracketed Newton pass.
-
-    Stopping keeps the current level, so continuation is chosen only when it
-    is strictly better.
     """
     if not theta1 > 0.0:
         raise ValueError(
@@ -116,28 +142,17 @@ def backward_induction(
         )
     round_costs = _round_costs(costs, horizon)
     levels = grid.level_values()
-    cap = grid.cap
 
-    value = np.minimum(levels, cap)
-    tables = [value]
-    rounds: list[tuple[StepBatch, np.ndarray]] = []
-    for t in range(horizon, 0, -1):
-        cost = round_costs[t - 1]
-        batch, alt_values = optimal_steps(
-            concave_monotone_hull(levels, value), theta1, levels + cost
-        )
-        continuation = alt_values - cost
-        go = continuation > levels
-        value = np.where(go, continuation, levels)
-        tables.append(value)
-        rounds.append((batch, go))
+    def best_steps(value: np.ndarray, budgets: np.ndarray) -> tuple[StepBatch, np.ndarray]:
+        return optimal_steps(concave_monotone_hull(levels, value), theta1, budgets)
 
-    updates, go = zip(*reversed(rounds))
+    tables, rounds = _induct(grid, round_costs, best_steps)
+    updates, go = zip(*rounds)
     return DPPolicy(
         horizon=horizon,
         grid=grid,
         costs=round_costs,
-        value_tables=tuple(reversed(tables)),
+        value_tables=tuple(tables),
         updates=updates,
         go=go,
     )

@@ -98,24 +98,6 @@ def _positive_slope_prefix(v: PLCValue) -> tuple[np.ndarray, np.ndarray]:
     return v.knots[1 : keep + 1], slopes[:keep]
 
 
-def pointwise_update(v: PLCValue, lam: float, lr: float) -> float:
-    """Largest knot whose left slope is at least lam / lr, else 0.
-
-    ``lr`` is the likelihood-ratio value at the observed evidence; ties
-    resolve to the larger knot.
-    """
-    if not lam > 0.0:
-        raise ValueError(f"lambda must be positive, got {lam}")
-    if not lr > 0.0:
-        raise ValueError(f"likelihood ratio must be positive, got {lr}")
-    price = lam / lr
-    slopes = v.left_slopes()
-    qualifying = np.nonzero(slopes >= price)[0]
-    if qualifying.size == 0:
-        return 0.0
-    return float(v.knots[qualifying[-1] + 1])
-
-
 def _breakpoints(log_slopes: np.ndarray, u: np.ndarray, theta: float) -> np.ndarray:
     """Breakpoints y[l, k] of the update priced at log-multiplier u[l]."""
     return theta / 2.0 - (log_slopes - u[:, None]) / theta
@@ -151,21 +133,6 @@ def null_expectation_of_update(v: PLCValue, lam: float, theta: float) -> float:
     return float(spend[0])
 
 
-def alternative_value_of_update(v: PLCValue, lam: float, theta: float) -> float:
-    """E_theta[v(update)]: the optimizer's objective at multiplier lam."""
-    knots, slopes = _positive_slope_prefix(v)
-    if knots.size == 0:
-        return float(v.values[0])
-    y = _breakpoints(np.log(slopes), np.array([math.log(lam)]), theta)
-    return float(_alternative_values(v, knots.size, y, theta)[0])
-
-
-def max_spendable(v: PLCValue) -> float:
-    """Supremum of the null budget any update on v's knots can use."""
-    knots, _ = _positive_slope_prefix(v)
-    return float(knots[-1]) if knots.size else 0.0
-
-
 def solve_lambda(v: PLCValue, theta: float, budget):
     """Multiplier whose update spends the null budget exactly.
 
@@ -192,13 +159,13 @@ def solve_lambda(v: PLCValue, theta: float, budget):
     bad = ~(budgets > 0.0)
     if bad.any():
         raise ValueError(f"budget must be positive, got {float(budgets[bad][0])}")
-    top = max_spendable(v)
+    knots, slopes = _positive_slope_prefix(v)
+    top = float(knots[-1]) if knots.size else 0.0
     over = budgets > top
     if over.any():
         raise InfeasibleBudgetError(
             f"budget {float(budgets[over][0])} exceeds the top reachable knot {top}"
         )
-    knots, slopes = _positive_slope_prefix(v)
     log_slopes = np.log(slopes)
     increments = np.diff(knots, prepend=0.0)
 

@@ -9,7 +9,6 @@ and every curve here is computed in closed form from normal tails.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -75,12 +74,8 @@ def _type_utility(theta: float, contract: Contract, welfare: WelfareSpec) -> flo
     if not decision.opted_in:
         return 0.0
     threshold = decision.chosen_license.approval_threshold()
-    if threshold == -math.inf:
-        p_approve = 1.0
-    elif threshold == math.inf:
-        p_approve = 0.0
-    else:
-        p_approve = upper_tail(threshold - theta)
+    # exactly 1.0 at threshold -inf and 0.0 at +inf
+    p_approve = upper_tail(threshold - theta)
     stake = welfare.cost_null if theta <= 0.0 else welfare.benefit_nonnull
     return p_approve * stake
 

@@ -52,9 +52,9 @@ from evcontracts.multiround import (
     PLCValue,
     RandomizedAlignedStrategy,
     SingleStageStrategy,
-    alternative_value_of_update,
     backward_induction,
     discrete_root_value,
+    optimal_steps,
     random_factor_license,
     simulate_policy,
     simulate_strategy,
@@ -111,7 +111,7 @@ def test_criterion_3_closed_form_multiplier():
     knots = 4000.0 * (np.arange(4001) / 4000.0) ** 2
     v = PLCValue(knots, 2.0 * np.sqrt(knots))
     lam = solve_lambda(v, theta, 1.0)
-    value = alternative_value_of_update(v, lam, theta)
+    value = float(optimal_steps(v, theta, [1.0])[1][0])
     lam_target = math.exp(theta**2 / 2.0)
     value_target = 2.0 * math.exp(theta**2 / 2.0)
     ok = (

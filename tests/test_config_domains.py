@@ -120,6 +120,7 @@ EDGE_CASES = [
     ("welfare", "ratio_b", "1"),
     ("welfare", "severity_a", "medium"),
     ("welfare", "severity_b", "medium"),
+    ("evalue_growth", "theta1", "4503599627370496"),
     ("evalue_growth", "n_max", "0"),
     ("evalue_growth", "reps", "1"),
     ("evalue_growth", "paths_out", "-1"),
@@ -181,13 +182,24 @@ def test_cli_rejects_welfare_cap_before_writing(tmp_path, capsys, params):
     assert not out.exists()
 
 
-# theta1**2 overflows at 1e200; at 1e154 the statistics come out inf or NaN
+def test_cli_rejects_best_response_cost_underflow_before_writing(tmp_path, capsys):
+    # in-domain keys whose product, the cost, underflows to 0
+    out = tmp_path / "out"
+    argv = ["best-response", "--out", str(out), "--param", "cap=5e-324"]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "bad value for 'cap' and 'cost_ratios'" in err
+    assert not out.exists()
+
+
+# theta1**2 overflows at 1e200 and at 1e154 the statistics come out inf or
+# NaN; both lie far outside theta1's domain
 @pytest.mark.parametrize("theta1", ["1e154", "1e200"])
 def test_cli_rejects_evalue_overflow_before_writing(tmp_path, capsys, theta1):
     out = tmp_path / "out"
     argv = ["evalue-growth", "--out", str(out), "--reps", "20", "--param", f"theta1={theta1}"]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "bad value for 'theta1' and 'n_max'" in err
+    assert "bad value for 'theta1'" in err
     assert "Traceback" not in err
     assert not out.exists()

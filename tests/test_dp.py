@@ -338,6 +338,22 @@ class TestDiscreteEvidenceMode:
         )
         assert root == pytest.approx(oracle, abs=1e-12)
 
+    def test_unequal_costs_brute_force_equivalence(self):
+        # round 1 costs 0.05 and round 2 costs 0.2: the costs are paid in order
+        grid = LicenseGrid.from_cap(1.0, 3)
+        evidence = DiscretizedEvidence(np.linspace(-3.0, 3.0, 9))
+        root = discrete_root_value(2, [0.05, 0.2], 1.0, grid, evidence)
+        oracle = _enumeration_oracle(
+            z_points=np.linspace(-3.0, 3.0, 9),
+            n_levels=3,
+            cap=1.0,
+            costs=[0.05, 0.2],
+            theta=1.0,
+        )
+        assert root == pytest.approx(oracle, abs=1e-12)
+        swapped = discrete_root_value(2, [0.2, 0.05], 1.0, grid, evidence)
+        assert swapped != pytest.approx(root, abs=1e-12)
+
     def test_discrete_below_analytic(self):
         # restricting evidence to cells can only lose value
         grid = LicenseGrid.from_cap(1.0, 5)
@@ -429,20 +445,22 @@ def _enumeration_oracle(z_points, n_levels, cap, costs, theta) -> float:
 
     p0, p1 = cell_probs(0.0), cell_probs(theta)
     eps = cap / n_levels
-    combos = list(combinations_with_replacement(range(n_cells + 1), n_levels))
 
     def levels_per_cell(jumps):
         return [sum(1 for j in jumps if j <= c) for c in range(n_cells)]
 
+    # every update's null spend and cell-to-level map, computed once
+    updates = [
+        (eps * sum(p0[j:].sum() for j in jumps), levels_per_cell(jumps))
+        for jumps in combinations_with_replacement(range(n_cells + 1), n_levels)
+    ]
+
     def best_step(w, budget):
         best = -math.inf
-        for jumps in combos:
-            spend = eps * sum(p0[j:].sum() for j in jumps)
+        for spend, cell_levels in updates:
             if spend > budget + 1e-12:
                 continue
-            value = sum(
-                p1[c] * w[k] for c, k in enumerate(levels_per_cell(jumps))
-            )
+            value = sum(p1[c] * w[k] for c, k in enumerate(cell_levels))
             best = max(best, value)
         return best
 

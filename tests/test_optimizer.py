@@ -9,14 +9,11 @@ from evcontracts.multiround import (
     InfeasibleBudgetError,
     LicenseGrid,
     PLCValue,
-    alternative_value_of_update,
     concave_monotone_hull,
-    max_spendable,
     null_expectation_of_update,
     optimal_step,
     optimal_steps,
     optimizer,
-    pointwise_update,
     solve_lambda,
 )
 
@@ -27,6 +24,24 @@ def sqrt_value(top: float, n_knots: int) -> PLCValue:
     """Discretization of 2*sqrt(x) with quadratically spaced knots."""
     knots = top * (np.arange(n_knots + 1) / n_knots) ** 2
     return PLCValue(knots, 2.0 * np.sqrt(knots))
+
+
+def pointwise_update(v: PLCValue, lam: float, lr: float) -> float:
+    """Largest knot whose left slope is at least lam / lr, else 0.
+
+    ``lr`` is the likelihood-ratio value at the observed evidence; ties
+    resolve to the larger knot.
+    """
+    if not lam > 0.0:
+        raise ValueError(f"lambda must be positive, got {lam}")
+    if not lr > 0.0:
+        raise ValueError(f"likelihood ratio must be positive, got {lr}")
+    price = lam / lr
+    slopes = v.left_slopes()
+    qualifying = np.nonzero(slopes >= price)[0]
+    if qualifying.size == 0:
+        return 0.0
+    return float(v.knots[qualifying[-1] + 1])
 
 
 def quadrature_update_expectation(v: PLCValue, lam: float, theta: float, mean: float):
@@ -219,9 +234,16 @@ class TestSolveLambda:
             solve_lambda(v, 1.0, np.array([0.5, 0.0]))
 
     def test_max_spendable(self):
-        assert max_spendable(PLCValue([0.0, 2.0], [0.0, 1.5])) == 2.0
-        # flat tail is not spendable
-        assert max_spendable(PLCValue([0.0, 1.0, 2.0], [0.0, 1.0, 1.0])) == 1.0
+        # the top reachable knot bounds the budget; a flat tail is not spendable
+        for v, top in (
+            (PLCValue([0.0, 2.0], [0.0, 1.5]), 2.0),
+            (PLCValue([0.0, 1.0, 2.0], [0.0, 1.0, 1.0]), 1.0),
+        ):
+            with pytest.raises(InfeasibleBudgetError, match=f"top reachable knot {top}$"):
+                solve_lambda(v, 1.0, math.nextafter(top, math.inf))
+            assert null_expectation_of_update(
+                v, solve_lambda(v, 1.0, 0.5 * top), 1.0
+            ) == pytest.approx(0.5 * top, rel=1e-11)
 
 
 class TestOptimalStep:
@@ -411,6 +433,6 @@ class TestAlternativeValue:
             target, _ = integrate.quad(
                 integrand, -11.0, 13.0, epsabs=1e-12, epsrel=1e-10, limit=400
             )
-            assert alternative_value_of_update(v, lam, theta) == pytest.approx(
-                target, abs=1e-9
-            )
+            # the update that spends lam's budget is lam's update
+            _, values = optimal_steps(v, theta, [null_expectation_of_update(v, lam, theta)])
+            assert values[0] == pytest.approx(target, abs=1e-9)
