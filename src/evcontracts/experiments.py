@@ -308,10 +308,7 @@ def run_evalue_growth(config: ExperimentConfig) -> RunResult:
     n_max, reps = config["n_max"], config["reps"]
     seed = config["seed"]
     ns = np.arange(1, n_max + 1)
-    try:
-        half_square = theta1**2 / 2.0
-    except OverflowError:  # |theta1| above about 1.3e154; rejected below
-        half_square = math.inf
+    half_square = theta1**2 / 2.0  # below 2**103: the domain keeps |theta1| < 2**52
 
     def log_paths(mean: float, stream_index: int) -> np.ndarray:
         # log E after n observations, theta1 * sum(z) - n * theta1^2 / 2, built
@@ -438,7 +435,8 @@ def _multiround_cell(
 
     An effect at most zero plays the theta_star agent's strategies against
     null evidence. A design effect too large for the multiplier's double
-    range is a config error naming the key it came from.
+    range is a config error naming the key it came from; an unconverged
+    multiplier solve (a tiny effect, a subnormal cost) also names 'cost'.
     """
     T, cost = config["horizon"], config["cost"]
     design_theta = theta1 if theta1 > 0.0 else config["theta_star"]
@@ -446,12 +444,14 @@ def _multiround_cell(
         policy = backward_induction(
             T, cost, design_theta, LicenseGrid.from_cap(cap, config["levels"])
         )
-    except MultiplierRangeError as err:
+    except RuntimeError as err:
         on_grid = theta1 > 0.0 and theta1 in config["theta_grid"]
         key = "theta_grid" if on_grid else "theta_star"
-        raise ConfigError(
-            f"bad value for {key!r}: {design_theta!r} at cap {cap:g} ({err})"
-        ) from err
+        if isinstance(err, MultiplierRangeError):
+            what = f"bad value for {key!r}: {design_theta!r}"
+        else:  # the solve did not converge
+            what = f"bad values for {key!r} and 'cost': {design_theta!r} with cost {cost!r}"
+        raise ConfigError(f"{what} at cap {cap:g} ({err})") from err
     episodes = simulate_policy(
         policy, theta1, config["reps"], RandomStream(config["seed"], stream_index)
     )

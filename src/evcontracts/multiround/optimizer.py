@@ -98,9 +98,10 @@ def _positive_slope_prefix(v: PLCValue) -> tuple[np.ndarray, np.ndarray]:
     return v.knots[1 : keep + 1], slopes[:keep]
 
 
-def _breakpoints(log_slopes: np.ndarray, u: np.ndarray, theta: float) -> np.ndarray:
-    """Breakpoints y[l, k] of the update priced at log-multiplier u[l]."""
-    return theta / 2.0 - (log_slopes - u[:, None]) / theta
+def _breakpoints(log_slopes, u, theta: float):
+    """Breakpoints theta/2 - (log_slopes - u) / theta, broadcast elementwise:
+    pass u[:, None] for the matrix y[l, k] of the updates priced at u[l]."""
+    return theta / 2.0 - (log_slopes - u) / theta
 
 
 def _spend(
@@ -128,7 +129,7 @@ def null_expectation_of_update(v: PLCValue, lam: float, theta: float) -> float:
     knots, slopes = _positive_slope_prefix(v)
     if knots.size == 0:
         return 0.0
-    y = _breakpoints(np.log(slopes), np.array([math.log(lam)]), theta)
+    y = _breakpoints(np.log(slopes), np.array([[math.log(lam)]]), theta)
     spend, _ = _spend(np.diff(knots, prepend=0.0), y, theta)
     return float(spend[0])
 
@@ -170,7 +171,7 @@ def solve_lambda(v: PLCValue, theta: float, budget):
     increments = np.diff(knots, prepend=0.0)
 
     def spend(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _spend(increments, _breakpoints(log_slopes, u, theta), theta)
+        return _spend(increments, _breakpoints(log_slopes, u[:, None], theta), theta)
 
     grid = np.linspace(math.log(_BRACKET_LO), math.log(_BRACKET_HI), _TABLE_POINTS)
     grid, table = grid.tolist(), spend(grid)[0].tolist()
@@ -278,7 +279,7 @@ class StepBatch:
     breakpoints y[i, k] = theta/2 - (log_slopes[k] - u[i]) / theta, so it is
     fixed by its log-multiplier u[i] alone; u[i] = -inf marks the constant
     update values[-1]. Indexing builds update i as a LicenseFn; ``evaluate``
-    applies it without building one.
+    applies any mix of updates to an array of evidence without building one.
     """
 
     theta: float
@@ -288,16 +289,27 @@ class StepBatch:
 
     def breakpoints(self, rows=slice(None)) -> np.ndarray:
         """Breakpoint matrix of the given rows; rows with u = -inf are -inf."""
-        return _breakpoints(self.log_slopes, self.u[rows], self.theta)
+        return _breakpoints(self.log_slopes, self.u[rows, None], self.theta)
 
     def __getitem__(self, i: int) -> LicenseFn:
         if self.u[i] == -math.inf:
             return LicenseFn([], [self.values[-1]])
         return LicenseFn(self.breakpoints([i])[0].tolist(), self.values.tolist())
 
-    def evaluate(self, i: int, z):
-        """Update i at the evidence z, equal to ``self[i](z)``."""
-        return self.values[np.searchsorted(self.breakpoints([i])[0], z, side="right")]
+    def evaluate(self, rows, z):
+        """Update rows[j] at z[j], equal to ``self[rows[j]](z[j])``; rows
+        broadcasts against z. A binary search over the count of breakpoints
+        at or below each z (as searchsorted side="right") probes each power
+        of two through ``_breakpoints``: the floats ``breakpoints()`` holds,
+        in O(len(z)) memory for any mix of rows."""
+        u, z = np.broadcast_arrays(self.u[rows], z)
+        n_breaks = self.log_slopes.size
+        count = np.zeros(z.shape, dtype=np.intp)
+        for shift in reversed(range(n_breaks.bit_length())):
+            probe = count + (1 << shift)
+            y = _breakpoints(self.log_slopes[np.minimum(probe, n_breaks) - 1], u, self.theta)
+            count = np.where((probe <= n_breaks) & (y <= z), probe, count)
+        return self.values[count]
 
 
 def optimal_steps(
@@ -332,7 +344,7 @@ def optimal_steps(
     inner = np.flatnonzero(budgets < top * (1.0 - 1e-12))
     if inner.size:
         u[inner] = np.log(solve_lambda(value, theta1, budgets[inner]))
-        y = _breakpoints(log_slopes, u[inner], theta1)
+        y = _breakpoints(log_slopes, u[inner, None], theta1)
         alt_values[inner] = _alternative_values(value, knots.size, y, theta1)
     return StepBatch(theta1, log_slopes[keep], np.array(step_values), u), alt_values
 

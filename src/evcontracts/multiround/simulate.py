@@ -8,15 +8,16 @@ license recursion
     L(t) = L(t-1) - P(t)                      otherwise,
 
 with withdrawals P(t) in [0, L(t-1)] and multiplicative update factors f_t.
-Both are vectorized over replicates and read their evidence from a stream
-as one (reps, horizon) matrix, replicate r in row r; the strategy simulator
-then draws each stage's decisions from the same generator as arrays. Both
-produce the same columnar episode batch. It keeps the whole evidence
-matrix, so other agents can be scored on the very same draws (common random
-numbers). On it the net-profit process N(t) = L(t) + total withdrawals -
-total costs is estimated per stage; under a null agent N is a
-supermartingale, so every stage mean must sit at or below zero up to Monte
-Carlo noise.
+Both loop over rounds only, vectorized over replicates, and read their
+evidence from a stream as one (reps, horizon) matrix, replicate r in row r.
+The policy simulator applies every replicate's grid-level update in one
+StepBatch.evaluate call a round; the strategy simulator draws each stage's
+decisions from the same generator as arrays. Both produce the same columnar
+episode batch. It keeps the whole evidence matrix, so other agents can be
+scored on the very same draws (common random numbers). On it the
+net-profit process N(t) = L(t) + total withdrawals - total costs is
+estimated per stage; under a null agent N is a supermartingale, so every
+stage mean must sit at or below zero up to Monte Carlo noise.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ import numpy as np
 from ..gaussian import GaussianModel, RandomStream, sample_normal
 from ..licenses import LicenseFn, null_expectation
 from .dp import DPPolicy, _round_costs
+
+_MAX_FACTOR_BREAKS = 4  # breakpoints of a random_factor_license
 
 
 class EpisodeBatch:
@@ -93,38 +96,22 @@ def simulate_policy(
     if reps < 1:
         raise ValueError(f"need at least one replicate, got {reps}")
     T = policy.horizon
-    grid = policy.grid
     z = sample_normal(GaussianModel(theta_true), stream, (reps, T))
 
-    costs_paid = np.zeros((reps, T))
-    withdrawals = np.zeros((reps, T))
     indicators = np.zeros((reps, T), dtype=bool)
     licenses = np.zeros((reps, T))
     tau = np.zeros(reps, dtype=np.int64)
-
-    level_idx = np.zeros(reps, dtype=np.int64)
+    level = np.zeros(reps)
     active = np.ones(reps, dtype=bool)
-    for t in range(1, T + 1):
-        licenses[:, t - 1] = licenses[:, t - 2] if t > 1 else 0.0
-        if not active.any():
-            continue
-        # Group on a snapshot: updates move episodes across levels and must
-        # not make them eligible for a second update in the same round.
-        start_levels = level_idx.copy()
-        updates, go = policy.updates[t - 1], policy.go[t - 1]
-        for lvl in np.unique(start_levels[active]).tolist():
-            group = active & (start_levels == lvl)
-            if not go[lvl]:
-                active[group] = False
-                continue
-            new_values = updates.evaluate(lvl, z[group, t - 1])
-            new_idx = np.rint(new_values / grid.epsilon).astype(np.int64)
-            level_idx[group] = new_idx
-            licenses[group, t - 1] = new_values
-            costs_paid[group, t - 1] = policy.costs[t - 1]
-            indicators[group, t - 1] = True
-            tau[group] = t
-    return EpisodeBatch(costs_paid, withdrawals, indicators, z, licenses, tau)
+    for k in range(T):
+        index = np.rint(level / policy.grid.epsilon).astype(np.int64)
+        active &= policy.go[k][index]
+        level[active] = policy.updates[k].evaluate(index[active], z[active, k])
+        licenses[:, k] = level
+        indicators[:, k] = active
+        tau[active] = k + 1
+    costs = np.asarray(policy.costs)
+    return EpisodeBatch(indicators * costs, np.zeros((reps, T)), indicators, z, licenses, tau)
 
 
 class StrategyAction(NamedTuple):
@@ -189,11 +176,11 @@ def simulate_strategy(
     return EpisodeBatch(indicators * costs, withdrawals, indicators, z, licenses, tau)
 
 
-def random_factor_license(rng: np.random.Generator, max_breaks: int = 4) -> LicenseFn:
+def random_factor_license(rng: np.random.Generator) -> LicenseFn:
     """Random nondecreasing step factor with null expectation exactly one."""
-    n_breaks = int(rng.integers(1, max_breaks + 1))
+    n_breaks = int(rng.integers(1, _MAX_FACTOR_BREAKS + 1))
     breaks = np.sort(rng.normal(0.0, 1.5, n_breaks))
-    while len(np.unique(breaks)) != n_breaks:  # pragma: no cover - measure zero
+    while (np.diff(breaks) == 0.0).any():  # pragma: no cover - measure zero
         breaks = np.sort(rng.normal(0.0, 1.5, n_breaks))
     raw = np.concatenate(([rng.uniform(0.0, 0.2)], rng.uniform(0.0, 1.0, n_breaks)))
     values = np.cumsum(raw)

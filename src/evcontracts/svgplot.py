@@ -96,7 +96,7 @@ def render_lines(
             f'<text x="{_MARGIN_L - 9}" y="{sy(yt) + 4:.2f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{_fmt(yt)}</text>'
         )
-    if any(lo <= 0.0 <= hi for lo, hi in [(y_lo, y_hi)]):
+    if y_lo <= 0.0 <= y_hi:
         parts.append(
             f'<line x1="{_MARGIN_L}" y1="{sy(0.0):.2f}" x2="{_MARGIN_L + plot_w}" '
             f'y2="{sy(0.0):.2f}" stroke="#bbb" stroke-dasharray="4,4"/>'

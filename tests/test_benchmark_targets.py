@@ -1,23 +1,25 @@
-"""Every callable the benchmark's tracer wraps must still exist.
+"""The benchmark must still run against the package's current API.
 
 ``perfbench/tracer.py`` finds its targets by module and attribute name at
 run time, so deleting or renaming one of them breaks
-``perfbench/run.py --trace 1`` without failing any other test.
+``perfbench/run.py --trace 1`` without failing any other test; likewise an
+API edit that a workload's jobs depend on breaks ``perfbench/run.py``.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-_TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    name = "_perfbench_tracer"
-    spec = importlib.util.spec_from_file_location(name, _TRACER_PATH)
+def _load_bench_module(stem: str):
+    name = f"_perfbench_{stem}"
+    spec = importlib.util.spec_from_file_location(name, _BENCH_DIR / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module  # dataclasses look their module up here
     try:
@@ -27,7 +29,8 @@ def _load_tracer():
     return module
 
 
-TARGETS = _load_tracer().TARGETS
+TARGETS = _load_bench_module("tracer").TARGETS
+WORKLOADS = _load_bench_module("workloads").WORKLOADS
 
 
 @pytest.mark.parametrize("target", TARGETS, ids=[t.name for t in TARGETS])
@@ -39,3 +42,13 @@ def test_target_resolves(target):
         assert attr in vars(getattr(owner, cls_name))
     else:
         assert callable(getattr(owner, attr))
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_warm_up_jobs_succeed(name, tmp_path):
+    refs = json.loads((_BENCH_DIR / "references.json").read_text(encoding="utf-8"))
+    workload = WORKLOADS[name](1, tmp_path / name, refs)
+    workload.clear_outputs()
+    assert workload.warm_up_jobs
+    for label, job in workload.warm_up_jobs:
+        assert job() is True, label

@@ -397,6 +397,29 @@ class TestMultiroundCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, params",
+        (
+            # a tiny effect or a subnormal cost leaves the multiplier solve
+            # short of its tolerance
+            ("theta_grid", ["theta_grid=1e-12"]),
+            ("theta_star", ["theta_grid=-0.5", "theta_star=1e-12"]),
+            ("theta_grid", ["cost=1e-320"]),
+        ),
+    )
+    def test_unconverged_multiplier_solve_exits_config(self, tmp_path, capsys, key, params):
+        out = tmp_path / "m"
+        argv = ["multiround", "--out", str(out), "--reps", "5",
+                "--param", "caps=1", "--param", "levels=10"]
+        for param in params:
+            argv += ["--param", param]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"bad values for '{key}' and 'cost'" in err
+        assert "above the relative tolerance" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_five_data_agent_reaches_cap_at_focal_effect(self, tmp_path):
         out = tmp_path / "m"
         config = resolve_config(

@@ -196,6 +196,7 @@ class TestRoundRecord:
         kinds = set()
         for t in range(1, 4):
             batch = policy.updates[t - 1]
+            all_rows, all_points, expected = [], [], []
             for i in range(policy.grid.levels + 1):
                 update = batch[i]
                 # points on the breakpoints check the right-continuous ties
@@ -204,6 +205,15 @@ class TestRoundRecord:
                 go = bool(policy.go[t - 1][i])
                 assert policy.action(t, i) == (update if go else None)
                 kinds.add((go, "constant" if not update.breakpoints else "steps"))
+                all_rows.append(np.full(points.size, i))
+                all_points.append(points)
+                expected.append(update(points))
+            # every level's row at once, shuffled so neighbours differ in row
+            order = np.random.default_rng(t).permutation(sum(p.size for p in all_points))
+            rows, points = np.concatenate(all_rows)[order], np.concatenate(all_points)[order]
+            np.testing.assert_array_equal(
+                batch.evaluate(rows, points), np.concatenate(expected)[order]
+            )
         assert {(True, "steps"), (False, "constant")} <= kinds
 
 

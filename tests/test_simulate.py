@@ -61,6 +61,30 @@ def reference_aligned_episodes(strategy, costs, theta_true, reps, stream):
     return out
 
 
+def reference_policy_episodes(policy, theta_true, reps, stream):
+    """simulate_policy run one replicate at a time on the same evidence
+    matrix, through the policy's LicenseFn updates."""
+    T = policy.horizon
+    z = sample_normal(GaussianModel(theta_true), stream, (reps, T))
+    out = {name: np.zeros((reps, T)) for name in BATCH_ARRAYS[:-1]}
+    out["indicators"] = out["indicators"].astype(bool)
+    out["evidence"] = z
+    out["tau"] = np.zeros(reps, dtype=np.int64)
+    for r in range(reps):
+        level = 0.0
+        for k in range(T):
+            update = policy.action(k + 1, round(level / policy.grid.epsilon))
+            if update is None:
+                break
+            level = float(update(z[r, k]))
+            out["costs_paid"][r, k] = policy.costs[k]
+            out["indicators"][r, k] = True
+            out["licenses"][r, k] = level
+            out["tau"][r] = k + 1
+        out["licenses"][r, out["tau"][r]:] = level
+    return out
+
+
 class TestSimulatePolicy:
     def test_deterministic(self):
         a = simulate_policy(POLICY, 1.2, 300, RandomStream(5, 0))
@@ -109,6 +133,27 @@ class TestSimulatePolicy:
         episodes = simulate_policy(POLICY, 1.2, 500, RandomStream(31, 0))
         scaled = episodes.licenses / GRID.epsilon
         assert np.allclose(scaled, np.rint(scaled), atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "policy, theta_true",
+        (
+            (POLICY, 1.2),
+            (POLICY, 0.0),
+            (backward_induction(3, [0.05, 0.2, 0.1], 1.2, LicenseGrid.from_cap(5.0, 40)), 1.2),
+            (backward_induction(1, 0.1, 1.2, GRID), 1.2),
+            # costs above the cap: every level stops
+            (backward_induction(3, 1.5, 1.0, LicenseGrid.from_cap(1.0, 20)), 1.0),
+        ),
+        ids=("policy", "null", "per-round-costs", "horizon-1", "all-stop"),
+    )
+    def test_matches_per_replicate_reference(self, policy, theta_true):
+        stream = RandomStream(41, 0)
+        episodes = simulate_policy(policy, theta_true, 400, stream)
+        expected = reference_policy_episodes(policy, theta_true, 400, stream)
+        for name in BATCH_ARRAYS:
+            got = getattr(episodes, name)
+            assert got.dtype == expected[name].dtype, name
+            assert np.array_equal(got, expected[name]), name
 
     def test_csv_rows(self):
         episodes = simulate_policy(POLICY, 1.2, 10, RandomStream(37, 0))
