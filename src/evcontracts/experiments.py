@@ -1,23 +1,33 @@
 """Experiment drivers behind the CLI.
 
 Each experiment takes a flat key=value configuration (file and/or flag
-overrides), writes CSVs plus static SVG plots into an output directory, and
-drops a manifest echoing the resolved configuration so any run can be
-replayed. All randomness flows through seeded streams: same config, same
-bytes.
+overrides) and computes all of its outputs first. It then hands them to
+``_write_outputs``, the only code here that touches the filesystem: it makes
+the output directory, writes the CSVs and static SVG plots in order, and
+writes a manifest echoing the resolved configuration last, so any run can be
+replayed. A rejected config (exit 2) or a reference deviation (exit 3) is
+raised before that call and leaves no output directory. All randomness flows
+through seeded streams: same config, same bytes.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .fda import audit_table, builtin_protocols, matches_reference
+from .fda import (
+    DEFAULT_BAND,
+    DEFAULT_PROFITS,
+    DEFAULT_TRIAL_COST,
+    audit_table,
+    builtin_protocols,
+    matches_reference,
+)
 from .gaussian import GaussianModel, RandomStream, sample_normal, upper_tail_inverse
 from .licenses import Menu, null_expectation
 from .single_round import Contract, np_best_response
@@ -136,9 +146,9 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     },
     "fda_audit": {
         "seed": Key("int", DEFAULT_SEED),
-        "cost": Key("float", 50_000_000.0, above=0.0),
-        "profits": Key("floats", (1e9, 1e10, 1e11), above=0.0),
-        "band": Key("float", 0.02, at_least=0.0),
+        "cost": Key("float", float(DEFAULT_TRIAL_COST), above=0.0),
+        "profits": Key("floats", tuple(map(float, DEFAULT_PROFITS)), above=0.0),
+        "band": Key("float", DEFAULT_BAND, at_least=0.0),
     },
     "multiround": {
         "seed": Key("int", DEFAULT_SEED),
@@ -207,89 +217,80 @@ def resolve_config(
     return ExperimentConfig(experiment, merged, Path(output_dir))
 
 
+def _cell(v) -> str:
+    """One CSV or manifest field: 12 significant digits for a float, str
+    for anything else (bools, integers, labels, verdicts)."""
+    return f"{v:.12g}" if isinstance(v, (float, np.floating)) else str(v)
+
+
 def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(f"{v:.12g}" for v in value)
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-def write_manifest(config: ExperimentConfig) -> Path:
-    lines = [f"experiment = {config.experiment}"]
-    for key in sorted(config.parameters):
-        lines.append(f"{key} = {_format_value(config.parameters[key])}")
-    path = config.output_dir / "manifest.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return ",".join(map(_cell, value)) if isinstance(value, tuple) else _cell(value)
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     """Comma-separated, header row, LF endings, 12 significant digits."""
-
-    def cell(v) -> str:
-        if isinstance(v, (bool, np.bool_)):
-            return str(v)
-        if isinstance(v, (int, np.integer)):
-            return str(int(v))
-        if isinstance(v, (float, np.floating)):
-            return f"{float(v):.12g}"
-        return str(v)
-
     text = ",".join(header) + "\n"
-    text += "".join(",".join(cell(v) for v in row) + "\n" for row in rows)
+    text += "".join(",".join(map(_cell, row)) + "\n" for row in rows)
     path.write_text(text, encoding="utf-8")
 
 
 @dataclass
 class RunResult:
-    files: list[Path] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
+    files: list[Path]
+    summary: dict
+
+
+def _write_outputs(config: ExperimentConfig, outputs: list, summary: dict) -> RunResult:
+    """Make the output directory, call each ``(file name, writer, *args)`` as
+    ``writer(output_dir / name, *args)`` in order, and write the manifest
+    last. The files are listed in the order they were written."""
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    manifest = f"experiment = {config.experiment}\n" + "".join(
+        f"{key} = {_format_value(config[key])}\n" for key in sorted(config.parameters)
+    )
+    outputs = outputs + [("manifest.txt", Path.write_text, manifest, "utf-8")]
+    files = []
+    for name, writer, *args in outputs:
+        files.append(config.output_dir / name)
+        writer(files[-1], *args)
+    return RunResult(files, summary)
 
 
 def run_welfare(config: ExperimentConfig) -> RunResult:
     """Principal utility vs null share, aligned menu against the status quo."""
-    result = RunResult()
     n, cost = config["grid_points"], config["cost"]
-    # Each key lies in its domain, but their product may still overflow or
-    # round down to the cost.
+    pi0_grid = [0.0] if n == 1 else [i / (n - 1) for i in range(n)]
+    outputs, summary = [], {}
     for label in ("a", "b"):
-        cap = config[f"ratio_{label}"] * cost
+        ratio, severity_name = config[f"ratio_{label}"], config[f"severity_{label}"]
+        cap = ratio * cost
+        # Each key lies in its domain, but their product may still overflow or
+        # round down to the cost.
         if not (math.isfinite(cap) and cap > cost):
             raise ConfigError(
                 f"bad value for 'cost' and 'ratio_{label}': their product, the "
                 f"cap {cap!r}, must be finite and exceed cost {cost!r}"
             )
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    pi0_grid = [0.0] if n == 1 else [i / (n - 1) for i in range(n)]
-    for label in ("a", "b"):
-        ratio, severity_name = config[f"ratio_{label}"], config[f"severity_{label}"]
-        contract = Contract(Menu.all_evalues(cost), cost, ratio * cost)
+        contract = Contract(Menu.all_evalues(cost), cost, cap)
         rows = welfare_curve(
             pi0_grid, contract, _SEVERITIES[severity_name], config["theta1"]
         )
-        csv_path = config.output_dir / f"welfare_panel_{label}.csv"
-        write_csv(csv_path, ["pi0", "utility_aligned", "utility_status_quo"], rows)
-        svg_path = config.output_dir / f"welfare_panel_{label}.svg"
-        render_lines(
-            [
-                ("aligned menu", [r[0] for r in rows], [r[1] for r in rows]),
-                ("status quo", [r[0] for r in rows], [r[2] for r in rows]),
-            ],
-            title=f"Principal utility, cap/cost = {ratio:g}, {severity_name} severity",
-            xlabel="null share",
-            ylabel="expected utility",
-            path=svg_path,
-        )
-        result.files += [csv_path, svg_path]
-        result.summary[f"panel_{label}"] = {
+        pi0, aligned, status_quo = zip(*rows)
+        outputs += [
+            (f"welfare_panel_{label}.csv", write_csv,
+             ["pi0", "utility_aligned", "utility_status_quo"], rows),
+            (f"welfare_panel_{label}.svg", render_lines,
+             [("aligned menu", pi0, aligned), ("status quo", pi0, status_quo)],
+             f"Principal utility, cap/cost = {ratio:g}, {severity_name} severity",
+             "null share", "expected utility"),
+        ]
+        summary[f"panel_{label}"] = {
             "ratio": ratio,
             "severity": severity_name,
-            "aligned_min": min(r[1] for r in rows),
-            "status_quo_at_1": rows[-1][2],
+            "aligned_min": min(aligned),
+            "status_quo_at_1": status_quo[-1],
         }
-    result.files.append(write_manifest(config))
-    return result
+    return _write_outputs(config, outputs, summary)
 
 
 def run_evalue_growth(config: ExperimentConfig) -> RunResult:
@@ -300,10 +301,8 @@ def run_evalue_growth(config: ExperimentConfig) -> RunResult:
     one (martingale), which is what caps a bluffing agent. Each hypothesis
     draws one (reps, n_max) evidence matrix, replicate r in row r: the
     alternative from stream 0, the null from stream 1. A theta1 so large
-    that the statistics overflow is a config error, raised before the
-    output directory is created.
+    that the statistics overflow is a config error.
     """
-    result = RunResult()
     theta1 = config["theta1"]
     n_max, reps = config["n_max"], config["reps"]
     seed = config["seed"]
@@ -351,74 +350,53 @@ def run_evalue_growth(config: ExperimentConfig) -> RunResult:
             f"{n_max} observations overflows the e-value statistics"
         )
 
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    growth_path = config.output_dir / "evalue_growth.csv"
-    write_csv(
-        growth_path,
-        ["n", "mean_log_e_alt", "se_log_e_alt", "mean_e_null", "se_e_null"],
-        list(zip(ns, mean_log_alt, se_log_alt, mean_e_null, se_e_null)),
-    )
-    paths_path = config.output_dir / "evalue_growth_paths.csv"
-    write_csv(
-        paths_path,
-        ["n"] + [f"log_e_path_{i}" for i in range(paths_out)],
-        list(zip(ns, *written)),
-    )
-    svg_path = config.output_dir / "evalue_growth.svg"
-    series = [("mean log e-value", ns.tolist(), mean_log_alt.tolist())]
-    series += [
-        (f"path {i}", ns.tolist(), written[i].tolist()) for i in range(min(paths_out, 3))
+    xs = ns.tolist()
+    series = [("mean log e-value", xs, mean_log_alt.tolist())]
+    series += [(f"path {i}", xs, path.tolist()) for i, path in enumerate(written[:3])]
+    outputs = [
+        ("evalue_growth.csv", write_csv,
+         ["n", "mean_log_e_alt", "se_log_e_alt", "mean_e_null", "se_e_null"],
+         list(zip(ns, mean_log_alt, se_log_alt, mean_e_null, se_e_null))),
+        ("evalue_growth_paths.csv", write_csv,
+         ["n"] + [f"log_e_path_{i}" for i in range(paths_out)], list(zip(ns, *written))),
+        ("evalue_growth.svg", render_lines, series,
+         f"e-value growth, effect {theta1:g}", "sample size", "log e-value"),
     ]
-    render_lines(
-        series,
-        title=f"e-value growth, effect {theta1:g}",
-        xlabel="sample size",
-        ylabel="log e-value",
-        path=svg_path,
-    )
-    result.files += [growth_path, paths_path, svg_path, write_manifest(config)]
-    result.summary = {
+    summary = {
         "slope": slope,
         "theory_slope": half_square,
         "max_null_mean": float(mean_e_null.max()),
         "null_mean_ok": bool(np.all(mean_e_null <= 1.0 + 3.0 * se_e_null)),
     }
-    return result
+    return _write_outputs(config, outputs, summary)
 
 
 def run_fda_audit(config: ExperimentConfig) -> RunResult:
     """Expected value of a placebo trial across protocols and market sizes."""
-    result = RunResult()
     rows = audit_table(
         builtin_protocols(), config["profits"], config["cost"], config["band"]
     )
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = config.output_dir / "fda_audit.csv"
-    write_csv(
-        csv_path,
+    is_default = (config["cost"], config["profits"], config["band"]) == (
+        DEFAULT_TRIAL_COST, DEFAULT_PROFITS, DEFAULT_BAND
+    )
+    if is_default and not matches_reference(rows):
+        raise ReferenceDeviation(
+            "default audit table disagrees with its committed verdicts"
+        )
+    outputs = [(
+        "fda_audit.csv", write_csv,
         ["protocol", "p_null_approval", "profit", "cost", "expected_value", "verdict"],
         [
             (r.protocol, r.p_null_approval, r.profit, r.cost, r.expected_value, r.verdict)
             for r in rows
         ],
-    )
-    result.files += [csv_path, write_manifest(config)]
-    defaults = SCHEMAS["fda_audit"]
-    is_default = (
-        config["cost"] == defaults["cost"].default
-        and tuple(config["profits"]) == tuple(defaults["profits"].default)
-        and config["band"] == defaults["band"].default
-    )
-    result.summary = {
+    )]
+    summary = {
         "rows": len(rows),
         "reference_checked": is_default,
         "verdicts": [str(r.verdict) for r in rows],
     }
-    if is_default and not matches_reference(rows):
-        raise ReferenceDeviation(
-            "default audit table disagrees with its committed verdicts"
-        )
-    return result
+    return _write_outputs(config, outputs, summary)
 
 
 def _multiround_cell(
@@ -475,7 +453,6 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
     then the theta_star cell at the smallest cap (histograms, policy table
     and episode ledger), appended only when no grid cell is that cell.
     """
-    result = RunResult()
     caps, star = config["caps"], config["theta_star"]
     T, cost, root = config["horizon"], config["cost"], math.sqrt(config["reps"])
 
@@ -487,9 +464,7 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
     if not any(is_star(*cell) for cell in cells):
         cells.append((min(caps), star))
 
-    # Every cell is solved and simulated before anything is written, so a
-    # config error found by the solver leaves no output directory. Only the
-    # curve rows and the star cell's arrays are kept.
+    # Only the curve rows and the star cell's arrays are kept.
     curve_summaries = {cap: [] for cap in caps}
     for i, (cap, theta1) in enumerate(cells):
         cell = _multiround_cell(config, cap, theta1, i)
@@ -502,77 +477,56 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
         if is_star(cap, theta1):
             star_cell = cell
 
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_star_outputs(config, result, *star_cell)
+    outputs, star_summary = _star_outputs(T * cost, *star_cell)
     for cap, rows in curve_summaries.items():
-        path = config.output_dir / f"multiround_profit_cap{cap:g}.csv"
-        write_csv(
-            path,
-            [
-                "theta1",
-                "profit_multi", "se_multi",
-                "profit_one_round", "se_one_round",
-                "profit_five_data", "se_five_data",
-            ],
-            rows,
-        )
-        svg = config.output_dir / f"multiround_profit_cap{cap:g}.svg"
-        render_lines(
-            [
-                ("multi-round", [r[0] for r in rows], [r[1] for r in rows]),
-                ("one round", [r[0] for r in rows], [r[3] for r in rows]),
-                ("one round, 5x data", [r[0] for r in rows], [r[5] for r in rows]),
-            ],
-            title=f"Agent profit vs effect size, cap {cap:g}",
-            xlabel="effect size",
-            ylabel="mean profit",
-            path=svg,
-        )
-        result.files += [path, svg]
-    result.files.append(write_manifest(config))
-    result.summary["profit_curves"] = curve_summaries
-    return result
+        theta, multi, _, single, _, pooled, _ = zip(*rows)
+        outputs += [
+            (f"multiround_profit_cap{cap:g}.csv", write_csv,
+             ["theta1", "profit_multi", "se_multi", "profit_one_round", "se_one_round",
+              "profit_five_data", "se_five_data"], rows),
+            (f"multiround_profit_cap{cap:g}.svg", render_lines,
+             [("multi-round", theta, multi), ("one round", theta, single),
+              ("one round, 5x data", theta, pooled)],
+             f"Agent profit vs effect size, cap {cap:g}", "effect size", "mean profit"),
+        ]
+    summary = {"at_theta_star": star_summary, "profit_curves": curve_summaries}
+    return _write_outputs(config, outputs, summary)
 
 
-def _write_star_outputs(config, result, policy, episodes, one, five) -> None:
+def _star_outputs(pooled_cost: float, policy, episodes, one, five) -> tuple[list, dict]:
     """Terminal-license and rounds-used distributions at the focal effect,
-    plus the full policy table and per-episode ledger. ``one`` and ``five``
-    are the one-round references' license payouts."""
+    plus the full policy table and per-episode ledger, and their summary.
+    ``one`` and ``five`` are the one-round references' license payouts;
+    the pooled agent paid ``pooled_cost`` upfront."""
     cap = policy.grid.cap
     values, counts = np.unique(episodes.terminal_license, return_counts=True)
-    rows = [("multi_round", v, c) for v, c in zip(values, counts)]
+    terminal = [("multi_round", v, c) for v, c in zip(values, counts)]
     for name, payouts in (("one_round", one), ("five_data", five)):
         vals, cnts = np.unique(payouts, return_counts=True)
-        rows += [(name, v, c) for v, c in zip(vals, cnts)]
-    term_path = config.output_dir / "multiround_terminal.csv"
-    write_csv(term_path, ["agent", "terminal_license", "count"], rows)
-
+        terminal += [(name, v, c) for v, c in zip(vals, cnts)]
     taus, tau_counts = np.unique(episodes.tau, return_counts=True)
-    rounds_path = config.output_dir / "multiround_rounds.csv"
-    write_csv(
-        rounds_path, ["rounds_used", "count"], list(zip(taus, tau_counts))
-    )
-    policy_path = config.output_dir / "multiround_policy.txt"
-    policy_path.write_text(policy.export_text(), encoding="utf-8")
-    episodes_path = config.output_dir / "multiround_episodes.csv"
-    write_csv(
-        episodes_path,
-        ["rep", "tau", "terminal_license", "total_cost", "profit"],
-        episodes_to_csv_rows(episodes),
-    )
-    result.files += [term_path, rounds_path, policy_path, episodes_path]
-    result.summary["at_theta_star"] = {
+    outputs = [
+        ("multiround_terminal.csv", write_csv,
+         ["agent", "terminal_license", "count"], terminal),
+        ("multiround_rounds.csv", write_csv,
+         ["rounds_used", "count"], list(zip(taus, tau_counts))),
+        ("multiround_policy.txt", Path.write_text, policy.export_text(), "utf-8"),
+        ("multiround_episodes.csv", write_csv,
+         ["rep", "tau", "terminal_license", "total_cost", "profit"],
+         episodes_to_csv_rows(episodes)),
+    ]
+    summary = {
         "p_terminal_cap": float(np.mean(episodes.terminal_license >= cap - 1e-12)),
         "mean_rounds": float(episodes.tau.mean()),
         "mean_total_cost": float(episodes.total_cost.mean()),
         "mean_profit_multi": float(episodes.profit.mean()),
-        "mean_profit_five_data": float(five.mean()) - config["horizon"] * config["cost"],
+        "mean_profit_five_data": float(five.mean()) - pooled_cost,
     }
+    return outputs, summary
 
 
 def run_best_response(config: ExperimentConfig) -> RunResult:
     """Closed-form best-response licenses across cost ratios and effects."""
-    result = RunResult()
     cap = config["cap"]
     rows = []
     for ratio in config["cost_ratios"]:
@@ -587,16 +541,11 @@ def run_best_response(config: ExperimentConfig) -> RunResult:
             f = np_best_response(0.0, theta1, ratio * cap, cap)
             power = null_expectation(f, GaussianModel(theta1)) / cap
             rows.append((ratio, theta1, threshold, power, cap * power - ratio * cap))
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    path = config.output_dir / "best_response.csv"
-    write_csv(
-        path,
-        ["cost_ratio", "theta1", "threshold", "power", "expected_profit"],
-        rows,
-    )
-    result.files += [path, write_manifest(config)]
-    result.summary["rows"] = len(rows)
-    return result
+    outputs = [(
+        "best_response.csv", write_csv,
+        ["cost_ratio", "theta1", "threshold", "power", "expected_profit"], rows,
+    )]
+    return _write_outputs(config, outputs, {"rows": len(rows)})
 
 
 RUNNERS: dict[str, Callable[[ExperimentConfig], RunResult]] = {

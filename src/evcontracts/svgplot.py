@@ -37,11 +37,11 @@ def _fmt(x: float) -> str:
 
 
 def render_lines(
+    path: str | Path,
     series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
     title: str,
     xlabel: str,
     ylabel: str,
-    path: str | Path,
 ) -> None:
     """Write an SVG with one polyline per (name, xs, ys) series."""
     xs_all = [x for _, xs, _ in series for x in xs]

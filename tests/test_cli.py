@@ -218,8 +218,10 @@ class TestFdaCommand:
         broken = dict(fda.REFERENCE_VERDICTS)
         broken[("standard", 1_000_000_000)] = fda.Verdict.NOT_ALIGNED
         monkeypatch.setattr(fda, "REFERENCE_VERDICTS", broken)
-        code = main(["fda-audit", "--out", str(tmp_path / "fda")])
+        out = tmp_path / "fda"
+        code = main(["fda-audit", "--out", str(out)])
         assert code == EXIT_DEVIATION
+        assert not out.exists()
 
 
 class TestEvalueGrowthCommand:
@@ -476,6 +478,92 @@ class TestMultiroundCommand:
             "multiround_terminal.csv":
                 "288e87056c3a0c260d1de12917116bbefb5d08b3a5c1bc7bd07d50277f934382",
         }
+
+
+# SHA-256 of every file a run writes, SVGs and manifest included, in the
+# order of its "wrote" lines. The digests were recorded with numpy 2.4.6 and
+# scipy 1.17.1, before the runners wrote through one writer; another numpy or
+# scipy may move the last printed digit and need new ones.
+PINNED_RUNS = {
+    "welfare": ([], {
+        "welfare_panel_a.csv":
+            "8fd9863bc7f155055f7fc7a1c9eeff521be91198fb12bedb383460a7ee029a75",
+        "welfare_panel_a.svg":
+            "1d88fb5dbcea987405970e9ed9a0b74420d07375473e8c3912b98c5c6653494d",
+        "welfare_panel_b.csv":
+            "e1cccd65f502db39965318fc2d57f4e80101f540413ff5e4ea72400bba8777a7",
+        "welfare_panel_b.svg":
+            "457fdbd7412302689ffd37c507cf8e20dbf41b7e92f2371e0f3f9703abec38c6",
+        "manifest.txt":
+            "b68e29b75d6731fe0ef3de316bf8e385d3ba8c8b9487db14b0d14f291c586f6f",
+    }),
+    "fda-audit": ([], {
+        "fda_audit.csv":
+            "621af056428dd9b1066f3aaf8112871e58d23329bbc121e8ad3395a6be8fbc7e",
+        "manifest.txt":
+            "629510de71ead3ceb2b1ad513957310e1489eac0d8f5c79e104ff1fc662b56c6",
+    }),
+    "best-response": ([], {
+        "best_response.csv":
+            "9bb3a5be7227f18a8fa2d1dccbd0d13bd90bc34f8ada3b8481b8341652218246",
+        "manifest.txt":
+            "d992987c7a2fbb3628f61578d94f83607986162037c4177b50ca04b6389de61c",
+    }),
+    "evalue-growth": (["--param", "n_max=40", "--reps", "200"], {
+        "evalue_growth.csv":
+            "0f6c9eab217ee4293a14359adc74be98894d40479a3c4fd7b663d8da57beb35f",
+        "evalue_growth_paths.csv":
+            "eb588e3b10b6bbdc2d91fc0f6af7351cedd040ad4d5e55fc67dcff5bf6b4693a",
+        "evalue_growth.svg":
+            "16aaa2fd9f4c5d4dcf333bd9c4a3ea0b5f36fffe623d3d917d595e203830bf9a",
+        "manifest.txt":
+            "ecb8cc633c5ecdf4479324d51f089614bbf7605ad5d928665754d44b97f756fc",
+    }),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_RUNS))
+def test_output_bytes_and_wrote_lines_are_pinned(tmp_path, capsys, command):
+    args, digests = PINNED_RUNS[command]
+    out = tmp_path / "o"
+    assert main([command, "--out", str(out), *args]) == EXIT_OK
+    stdout = capsys.readouterr().out.splitlines()
+    assert [line for line in stdout if line.startswith("wrote ")] == [
+        f"wrote {out / name}" for name in digests
+    ]
+    assert sorted(path.name for path in out.iterdir()) == sorted(digests)
+    assert {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests
+    } == digests
+
+
+# Small configs that reach every output of each experiment.
+TINY_RUNS = {
+    "welfare": {"grid_points": "5"},
+    "evalue_growth": {"n_max": "5", "reps": "10", "paths_out": "2"},
+    "fda_audit": {},
+    "multiround": {"horizon": "2", "levels": "5", "reps": "10", "caps": "1",
+                   "theta_grid": "1.0"},
+    "best_response": {"cost_ratios": "0.05", "theta_grid": "1.0"},
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(experiments.RUNNERS))
+def test_runners_write_only_through_the_writer(tmp_path, monkeypatch, experiment):
+    # Every runner computes all of its outputs and hands them to
+    # _write_outputs: with the writer replaced, nothing reaches the disk.
+    names = []
+
+    def record(config, outputs, summary):
+        names.extend(name for name, *_ in outputs)
+        return experiments.RunResult([], summary)
+
+    monkeypatch.setattr(experiments, "_write_outputs", record)
+    out = tmp_path / "out"
+    config = resolve_config(experiment, out, overrides=TINY_RUNS[experiment])
+    experiments.RUNNERS[experiment](config)
+    assert names
+    assert not out.exists()
 
 
 class TestMultiroundCommonRandomNumbers:
