@@ -69,9 +69,9 @@ def main(argv: list[str] | None = None) -> int:
     except ReferenceDeviation as err:
         print(f"reference deviation: {err}", file=sys.stderr)
         return EXIT_DEVIATION
-    except (ConfigError, FileNotFoundError, ValueError) as err:
-        # domain validation errors from library types (bad ratios, caps,
-        # grids) are configuration mistakes at this level
+    except ValueError as err:
+        # ConfigError is a ValueError; domain validation errors from library
+        # types (bad ratios, caps, grids) are configuration mistakes too
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     for path in result.files:

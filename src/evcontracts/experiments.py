@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -172,16 +173,25 @@ SCHEMAS: dict[str, dict[str, Key]] = {
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
-    """Flat ``key = value`` lines; '#' starts a comment."""
+    """Flat ``key = value`` lines of UTF-8 text; '#' starts a comment and a
+    key may be set only once."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        raise ConfigError(f"cannot read config file {str(path)!r}: {reason}") from err
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        out[key] = value.strip()
     return out
 
 
@@ -214,7 +224,17 @@ def resolve_config(
         reason = schema[key].violation(value)
         if reason is not None:
             raise ConfigError(f"bad value for {key!r}: {value!r} ({reason})")
-    return ExperimentConfig(experiment, merged, Path(output_dir))
+    output_dir = Path(output_dir)
+    # The nearest existing ancestor (or the path itself, or a dangling link)
+    # must be a directory, or making the output directory would fail after
+    # all the compute.
+    existing = next(p for p in (output_dir, *output_dir.parents) if os.path.lexists(p))
+    if not existing.is_dir():
+        raise ConfigError(
+            f"bad value for --out: {str(output_dir)!r} "
+            f"({str(existing)!r} exists and is not a directory)"
+        )
+    return ExperimentConfig(experiment, merged, output_dir)
 
 
 def _cell(v) -> str:

@@ -3,19 +3,22 @@
 All evidence in this package is Gaussian-location: a single observation is
 N(theta, 1), an n-sample mean is N(theta, 1/sqrt(n)). Tail probabilities are
 computed through the complementary error function, which keeps the absolute
-error below 1e-12 everywhere; the quantile is ``scipy.special.ndtri``, the
-inverse of the normal CDF, accurate to a few ulps.
+error below 1e-12 everywhere; the quantile is the standard library's
+``statistics.NormalDist().inv_cdf`` (Wichura's AS241), accurate to a few ulps.
+Importing this module loads no scipy: only the vectorized tail needs
+``scipy.special``, and it imports it on its first call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 _SQRT2 = math.sqrt(2.0)
+_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,13 @@ def upper_tail(x: float) -> float:
 
 
 def upper_tail_np(x: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`upper_tail` for array arguments."""
+    """Vectorized :func:`upper_tail` for array arguments.
+
+    Loads ``scipy.special`` on its first call, so only the multi-round
+    optimizer and the discrete-evidence mode pay for importing it.
+    """
+    from scipy import special
+
     return 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
 
 
@@ -80,7 +89,7 @@ def upper_tail_inverse(p: float) -> float:
     """
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    return -float(special.ndtri(p))
+    return -_NORMAL.inv_cdf(p)
 
 
 def sample_normal(

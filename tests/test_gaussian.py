@@ -103,6 +103,21 @@ class TestUpperTailInverse:
     def test_accuracy(self, p, x):
         assert abs(upper_tail_inverse(p) - x) <= 2e-15
 
+    @pytest.mark.parametrize(
+        "p, reference",
+        (
+            # reference: the 50-digit upper-tail quantile of the double p
+            (0.02, "2.0537489106318230443386390749202705842697611430091"),
+            (0.05, "1.6448536269514726879521280764633298932149746414168"),
+            (1 / 11, "1.3351777361189366636909072306597834888275920143755"),
+            (1e-10, "6.3613409024040561991003969487875583470663365305064"),
+            (1e-300, "37.047096299361199236547042504890222343638453723845"),
+        ),
+    )
+    def test_within_eight_ulps(self, p, reference):
+        x = float(reference)
+        assert abs(upper_tail_inverse(p) - x) <= 8 * math.ulp(x)
+
     @pytest.mark.parametrize("p", [1.0, 0.0, -0.2, 1.7])
     def test_domain_errors(self, p):
         with pytest.raises(ValueError):
