@@ -74,6 +74,8 @@ def main(argv: list[str] | None = None) -> int:
         # types (bad ratios, caps, grids) are configuration mistakes too
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    for path in result.removed:
+        print(f"removed {path}")
     for path in result.files:
         print(f"wrote {path}")
     for key, value in result.summary.items():

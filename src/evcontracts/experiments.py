@@ -3,11 +3,12 @@
 Each experiment takes a flat key=value configuration (file and/or flag
 overrides) and computes all of its outputs first. It then hands them to
 ``_write_outputs``, the only code here that touches the filesystem: it makes
-the output directory, writes the CSVs and static SVG plots in order, and
-writes a manifest echoing the resolved configuration last, so any run can be
-replayed. A rejected config (exit 2) or a reference deviation (exit 3) is
-raised before that call and leaves no output directory. All randomness flows
-through seeded streams: same config, same bytes.
+the output directory, removes the config-dependent outputs an earlier run of
+the same experiment left there, writes the CSVs and static SVG plots in
+order, and writes a manifest echoing the resolved configuration last, so any
+run can be replayed. A rejected config (exit 2) or a reference deviation
+(exit 3) is raised before that call and leaves no output directory. All
+randomness flows through seeded streams: same config, same bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -30,8 +31,8 @@ from .fda import (
     matches_reference,
 )
 from .gaussian import GaussianModel, RandomStream, sample_normal, upper_tail_inverse
-from .licenses import Menu, null_expectation
-from .single_round import Contract, np_best_response
+from .licenses import null_expectation
+from .single_round import np_best_response
 from .svgplot import render_lines
 from .welfare import HIGH_SEVERITY, LOW_SEVERITY, welfare_curve
 from .multiround import (
@@ -258,13 +259,31 @@ def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> No
 class RunResult:
     files: list[Path]
     summary: dict
+    removed: list[Path] = field(default_factory=list)
+
+
+# Output names that vary with the config, as globs per experiment. Every
+# output name starts with its experiment's name, so these never match
+# another experiment's files.
+_CONFIG_DEPENDENT_OUTPUTS = {"multiround": ("multiround_profit_cap*",)}
 
 
 def _write_outputs(config: ExperimentConfig, outputs: list, summary: dict) -> RunResult:
-    """Make the output directory, call each ``(file name, writer, *args)`` as
+    """Make the output directory, remove the files of the experiment's
+    config-dependent names that this run does not write (an earlier run's
+    outputs), call each ``(file name, writer, *args)`` as
     ``writer(output_dir / name, *args)`` in order, and write the manifest
     last. The files are listed in the order they were written."""
     config.output_dir.mkdir(parents=True, exist_ok=True)
+    names = {name for name, *_ in outputs}
+    removed = sorted(
+        path
+        for pattern in _CONFIG_DEPENDENT_OUTPUTS.get(config.experiment, ())
+        for path in config.output_dir.glob(pattern)
+        if path.name not in names and not path.is_dir()
+    )
+    for path in removed:
+        path.unlink()
     manifest = f"experiment = {config.experiment}\n" + "".join(
         f"{key} = {_format_value(config[key])}\n" for key in sorted(config.parameters)
     )
@@ -273,7 +292,7 @@ def _write_outputs(config: ExperimentConfig, outputs: list, summary: dict) -> Ru
     for name, writer, *args in outputs:
         files.append(config.output_dir / name)
         writer(files[-1], *args)
-    return RunResult(files, summary)
+    return RunResult(files, summary, removed)
 
 
 def run_welfare(config: ExperimentConfig) -> RunResult:
@@ -291,9 +310,8 @@ def run_welfare(config: ExperimentConfig) -> RunResult:
                 f"bad value for 'cost' and 'ratio_{label}': their product, the "
                 f"cap {cap!r}, must be finite and exceed cost {cost!r}"
             )
-        contract = Contract(Menu.all_evalues(cost), cost, cap)
         rows = welfare_curve(
-            pi0_grid, contract, _SEVERITIES[severity_name], config["theta1"]
+            pi0_grid, cost, cap, _SEVERITIES[severity_name], config["theta1"]
         )
         pi0, aligned, status_quo = zip(*rows)
         outputs += [

@@ -30,15 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..gaussian import upper_tail_np
+from ..gaussian import upper_tail_inverse, upper_tail_np
 from ..licenses import LicenseFn
 from .values import PLCValue
 
 LAMBDA_REL_TOL = 1e-12
-_BRACKET_LO = 1e-6
-_BRACKET_HI = 1e6
-_BRACKET_WIDEN = 1e2  # geometric step when a budget lies outside the bracket
-_TABLE_POINTS = 65  # log-lambda points tabulated over [_BRACKET_LO, _BRACKET_HI]
+# solve_lambda tabulates the spend at log lambda = k * _LATTICE_STEP +
+# _LATTICE_ORIGIN; k = 0..64 give np.linspace(log 1e-6, log 1e6, 65) bit for bit.
+_LATTICE_ORIGIN = math.log(1e-6)
+_LATTICE_STEP = (math.log(1e6) - math.log(1e-6)) / 64
 _MAX_ITERATIONS = 200
 
 # Breakpoints closer than this are merged when assembling a step update;
@@ -110,7 +110,9 @@ def _spend(
     """Null expectation of each row's update, sum_k inc_k * P_0(z >= y_k),
     and its derivative in log lambda, -sum_k inc_k * phi(y_k) / theta."""
     spend = (increments * upper_tail_np(y)).sum(axis=1)
-    slope = (increments * np.exp(-0.5 * y * y)).sum(axis=1) / (-theta * _SQRT_2PI)
+    # y * y overflows only where phi(y) is 0 anyway
+    with np.errstate(over="ignore"):
+        slope = (increments * np.exp(-0.5 * y * y)).sum(axis=1) / (-theta * _SQRT_2PI)
     return spend, slope
 
 
@@ -134,22 +136,40 @@ def null_expectation_of_update(v: PLCValue, lam: float, theta: float) -> float:
     return float(spend[0])
 
 
+def _tail_quantile(p: float) -> float:
+    """upper_tail_inverse(p) extended to its limits: +inf at p = 0, -inf at p = 1."""
+    if 0.0 < p < 1.0:
+        return upper_tail_inverse(p)
+    return math.inf if p <= 0.0 else -math.inf
+
+
 def solve_lambda(v: PLCValue, theta: float, budget):
     """Multiplier whose update spends the null budget exactly.
 
     ``budget`` is a scalar or a 1-D array; the result has the same shape.
-    The null expectation is continuous and strictly decreasing in
-    u = log lambda, so it is tabulated once on a fixed log-lambda grid over
-    [_BRACKET_LO, _BRACKET_HI], the grid is widened geometrically until it
-    brackets every budget, and each budget's root is polished from the
-    interpolated table by a Newton iteration that bisects its bracket
-    whenever a step leaves it. Every budget must meet the relative tolerance
-    LAMBDA_REL_TOL. Budgets above the top reachable knot are infeasible, and
-    so is a budget the tabulated spend has not reached once widening stops
-    changing it in floating point. A solve that exhausts its iterations or
-    its floating-point resolution before meeting the tolerance, or whose
-    multiplier lies outside the normal double range (MultiplierRangeError),
-    raises RuntimeError rather than return an unconverged or unusable root
+    The null spend S(u) = sum_k inc_k * P_0(z >= theta/2 - (l_k - u)/theta),
+    with u = log lambda and l_k the log-slopes (nonincreasing in k), is
+    continuous and strictly decreasing in u. It is a mixture of normal tails,
+    so it lies between the total increment times the tail at the first and
+    at the last log-slope, and each budget's root lies in the closed-form
+    bracket
+
+        l_last + theta * (q - theta/2) <= u <= l_first + theta * (q - theta/2),
+
+    where q is the upper normal quantile of budget / sum_k inc_k. The spend is
+    tabulated once, on the points of a fixed log-lambda lattice that cover
+    the batch's bracket clipped to the normal double range, plus one point
+    of slack on each side for rounding. Each budget's root is then polished
+    from the interpolated table by a Newton iteration that bisects its
+    bracket whenever a step leaves it. Because the lattice is fixed, a
+    budget's result does not depend on the other budgets it is solved with.
+    Every budget must meet the relative tolerance LAMBDA_REL_TOL. Budgets
+    above the top reachable knot are infeasible, and so is a budget above
+    the total increment, the spend's limit as lambda goes to 0. A multiplier
+    outside the normal double range, whether the table cannot bracket it or
+    the solve ends there, raises MultiplierRangeError. A solve that exhausts
+    its iterations or its floating-point resolution before meeting the
+    tolerance raises RuntimeError rather than return an unconverged root
     (never lambda 0).
     """
     if not theta > 0.0:
@@ -169,30 +189,35 @@ def solve_lambda(v: PLCValue, theta: float, budget):
         )
     log_slopes = np.log(slopes)
     increments = np.diff(knots, prepend=0.0)
+    total = float(increments.sum())
+    b_max, b_min = float(budgets.max()), float(budgets.min())
+    if b_max > total:
+        raise InfeasibleBudgetError(
+            f"budget {b_max} is not attainable by any finite multiplier"
+        )
 
     def spend(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _spend(increments, _breakpoints(log_slopes, u[:, None], theta), theta)
 
-    grid = np.linspace(math.log(_BRACKET_LO), math.log(_BRACKET_HI), _TABLE_POINTS)
-    grid, table = grid.tolist(), spend(grid)[0].tolist()
-    widen = math.log(_BRACKET_WIDEN)
-    # Widen each end until it brackets every budget; once a step no longer
-    # moves the spend in floating point, no multiplier further out does.
-    while table[0] < budgets.max():
-        grid.insert(0, grid[0] - widen)
-        table.insert(0, float(spend(np.array(grid[:1]))[0][0]))
-        if not table[0] > table[1]:
-            raise InfeasibleBudgetError(
-                f"budget {float(budgets.max())} is not attainable by any finite multiplier"
-            )
-    while table[-1] > budgets.min():
-        grid.append(grid[-1] + widen)
-        table.append(float(spend(np.array(grid[-1:]))[0][0]))
-        if not table[-1] < table[-2]:
-            raise InfeasibleBudgetError(
-                f"budget {float(budgets.min())} is below any positive multiplier's spend"
-            )
-    grid, table = np.array(grid), np.array(table)
+    # The largest budget has the lowest root and the smallest the highest.
+    log_tiny, log_max = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+    u_lo = log_slopes[-1] + theta * (_tail_quantile(b_max / total) - theta / 2.0)
+    u_hi = log_slopes[0] + theta * (_tail_quantile(b_min / total) - theta / 2.0)
+    u_lo, u_hi = (min(max(float(u), log_tiny), log_max) for u in (u_lo, u_hi))
+    first = math.floor((u_lo - _LATTICE_ORIGIN) / _LATTICE_STEP) - 1
+    last = math.ceil((u_hi - _LATTICE_ORIGIN) / _LATTICE_STEP) + 1
+    grid = np.arange(first, last + 1) * _LATTICE_STEP + _LATTICE_ORIGIN
+    table = spend(grid)[0]
+    # The padded bracket holds every root, and where it was clipped the table
+    # reaches a step past that end of the double range: a budget the table
+    # misses has its root beyond it.
+    if table[0] < b_max or table[-1] > b_min:
+        below = table[0] < b_max
+        b, u = (b_max, grid[0]) if below else (b_min, grid[-1])
+        raise MultiplierRangeError(
+            f"multiplier for budget {b} at theta {theta!r} lies "
+            f"{'below' if below else 'above'} exp({float(u)!r}), outside the normal double range"
+        )
 
     # Bracket each budget between adjacent table points (spend decreases
     # along the table) and start from the linear interpolant.

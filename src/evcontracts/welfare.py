@@ -114,23 +114,22 @@ def status_quo_contract(cost: float, cap: float) -> Contract:
 
 def welfare_curve(
     pi0_grid: Sequence[float],
-    contract: Contract,
+    cost: float,
+    cap: float,
     welfare: WelfareSpec,
     theta1: float,
 ) -> list[tuple[float, float, float]]:
     """Rows (pi0, utility_aligned, utility_status_quo) on the null-share grid.
 
-    Both menus are built from the (cost, cap) of ``contract``; the mixture
-    puts mass pi0 on the null type 0 and the rest on theta1.
+    Both menus are built from the trial ``cost`` and the market ``cap``; the
+    mixture puts mass pi0 on the null type 0 and the rest on theta1.
     """
     if any(not 0.0 <= p <= 1.0 for p in pi0_grid):
         raise ValueError("pi0 grid values must lie in [0, 1]")
-    aligned = aligned_contract(contract.cost, contract.cap)
-    status_quo = status_quo_contract(contract.cost, contract.cap)
     # The mixture expectation is affine in pi0, so only the two endpoint
     # utilities are computed per menu.
     rows = []
-    for c in (aligned, status_quo):
+    for c in (aligned_contract(cost, cap), status_quo_contract(cost, cap)):
         u_null = _type_utility(0.0, c, welfare)
         u_alt = _type_utility(theta1, c, welfare)
         rows.append((u_null, u_alt))

@@ -32,7 +32,6 @@ from evcontracts import (
     Menu,
     RandomStream,
     Verdict,
-    aligned_contract,
     audit_table,
     is_evalue,
     is_incentive_aligned,
@@ -155,8 +154,8 @@ def test_criterion_6_welfare_properties():
     tol = 1e-9
     ok = True
     for severity in (HIGH_SEVERITY, LOW_SEVERITY):
-        rows50 = welfare_curve(grid, aligned_contract(1.0, 50.0), severity, 1.0)
-        rows5 = welfare_curve(grid, aligned_contract(1.0, 5.0), severity, 1.0)
+        rows50 = welfare_curve(grid, 1.0, 50.0, severity, 1.0)
+        rows5 = welfare_curve(grid, 1.0, 5.0, severity, 1.0)
         ok = ok and all(ua >= -tol for _, ua, _ in rows50 + rows5)
         # loose status quo: null agents enter, utility 0.05*c1 at pi0 = 1
         ok = ok and abs(rows50[-1][2] - 0.05 * severity.cost_null) <= tol

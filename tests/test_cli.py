@@ -454,6 +454,23 @@ class TestMultiroundCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("theta, levels", (("80", "10"), ("1e5", "400")))
+    def test_effect_far_beyond_the_multiplier_range_exits_config(
+        self, tmp_path, capsys, theta, levels
+    ):
+        # the spend underflows long before such a multiplier, so no search for
+        # it could tell a huge effect from an unattainable budget
+        out = tmp_path / "m"
+        code = main(
+            ["multiround", "--out", str(out), "--reps", "10", "--param", "caps=1",
+             "--param", f"levels={levels}", "--param", f"theta_grid={theta}"]
+        )
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"bad value for 'theta_grid': {float(theta)!r} at cap 1" in err
+        assert "outside the normal double range" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, params",
         (
@@ -593,6 +610,43 @@ def test_output_bytes_and_wrote_lines_are_pinned(tmp_path, capsys, command):
     assert {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests
     } == digests
+
+
+class TestRerunIntoOneDirectory:
+    MULTIROUND = ["multiround", "--reps", "20", "--param", "levels=5", "--param", "horizon=2"]
+
+    def run(self, capsys, argv):
+        assert main(argv) == EXIT_OK
+        return capsys.readouterr().out.splitlines()
+
+    def test_fewer_caps_remove_the_earlier_cap_files(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        self.run(capsys, [*self.MULTIROUND, "--out", str(out), "--param", "caps=1,5"])
+        lines = self.run(capsys, [*self.MULTIROUND, "--out", str(out), "--param", "caps=1"])
+        assert [line for line in lines if line.startswith("removed ")] == [
+            f"removed {out / 'multiround_profit_cap5.csv'}",
+            f"removed {out / 'multiround_profit_cap5.svg'}",
+        ]
+        wrote = sorted(line.removeprefix("wrote ") for line in lines if line.startswith("wrote "))
+        assert sorted(str(path) for path in out.iterdir()) == wrote
+        assert len(wrote) == 7
+
+    def test_other_files_survive(self, tmp_path, capsys):
+        # another experiment's outputs and unrelated files share the directory
+        out = tmp_path / "o"
+        self.run(capsys, ["fda-audit", "--out", str(out)])
+        for name in ("notes.txt", "multiround_notes.txt"):
+            (out / name).write_text("kept\n")
+        self.run(capsys, [*self.MULTIROUND, "--out", str(out), "--param", "caps=1,5"])
+        lines = self.run(capsys, [*self.MULTIROUND, "--out", str(out), "--param", "caps=5"])
+        assert [line for line in lines if line.startswith("removed ")] == [
+            f"removed {out / 'multiround_profit_cap1.csv'}",
+            f"removed {out / 'multiround_profit_cap1.svg'}",
+        ]
+        names = {path.name for path in out.iterdir()}
+        assert {"fda_audit.csv", "notes.txt", "multiround_notes.txt"} <= names
+        assert (out / "notes.txt").read_text() == "kept\n"
+        assert not any("cap1" in name for name in names)
 
 
 # Small configs that reach every output of each experiment.

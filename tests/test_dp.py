@@ -260,6 +260,15 @@ class TestExtremeEffects:
         with pytest.raises(MultiplierRangeError, match="outside the normal double range"):
             backward_induction(5, 0.1, 40.0, LicenseGrid.from_cap(1.0, 10))
 
+    def test_vanishing_effect_raises_without_overflow(self):
+        # at theta 1e-300 the spend is a step in u that no tolerance can
+        # bisect; the solver must say so without overflow warnings on the way
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="residual"):
+                backward_induction(5, 0.1, 1e-300, LicenseGrid.from_cap(1.0, 5))
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
+
     @pytest.mark.parametrize("theta", [1e-4, 1e-2])
     def test_small_effect_solves_without_warnings(self, theta):
         with warnings.catch_warnings():

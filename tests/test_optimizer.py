@@ -233,6 +233,38 @@ class TestSolveLambda:
         with pytest.raises(ValueError, match="budget must be positive"):
             solve_lambda(v, 1.0, np.array([0.5, 0.0]))
 
+    def test_lattice_points_are_the_linspace_table(self):
+        # the first 65 lattice points are the fixed table the solver has always
+        # interpolated from, so roots inside [1e-6, 1e6] keep their bits
+        grid = np.arange(65) * optimizer._LATTICE_STEP + optimizer._LATTICE_ORIGIN
+        assert grid.tolist() == np.linspace(math.log(1e-6), math.log(1e6), 65).tolist()
+
+    @pytest.mark.parametrize("theta", [8.0, 36.0])
+    def test_large_effect_tabulates_its_bracket_once(self, monkeypatch, theta):
+        # roots far below 1e-6 (near exp(-690) at theta 36) are bracketed in
+        # closed form: one table pass, then a few Newton passes
+        passes = []
+        spend = optimizer._spend
+
+        def counted(increments, y, theta):
+            passes.append(len(y))
+            return spend(increments, y, theta)
+
+        monkeypatch.setattr(optimizer, "_spend", counted)
+        v = sqrt_value(1.0, 10)
+        budgets = np.linspace(0.1, 0.9, 9)
+        lams = solve_lambda(v, theta, budgets)
+        assert len(passes) <= 8
+        monkeypatch.setattr(optimizer, "_spend", spend)
+        for lam, budget in zip(lams, budgets):
+            assert null_expectation_of_update(v, lam, theta) == pytest.approx(budget, rel=1e-11)
+
+    def test_multiplier_above_the_double_range_raises(self):
+        # a slope near 1e300 puts the root of a tiny budget above exp(709.8)
+        v = PLCValue([0.0, 1.0], [0.0, 1e300])
+        with pytest.raises(optimizer.MultiplierRangeError, match="lies above exp"):
+            solve_lambda(v, 6.3, 1e-12)
+
     def test_max_spendable(self):
         # the top reachable knot bounds the budget; a flat tail is not spendable
         for v, top in (

@@ -48,7 +48,7 @@ class TestPrincipalUtility:
 class TestWelfareCurve:
     def test_low_ratio_aligned_dominates(self):
         grid = [i / 100 for i in range(101)]
-        rows = welfare_curve(grid, aligned_contract(1.0, 5.0), HIGH_SEVERITY, 1.0)
+        rows = welfare_curve(grid, 1.0, 5.0, HIGH_SEVERITY, 1.0)
         for pi0, ua, us in rows:
             assert ua >= us - 1e-12
             if pi0 < 1.0:
@@ -57,26 +57,26 @@ class TestWelfareCurve:
         assert rows[-1][2] == pytest.approx(0.0, abs=1e-12)
 
     def test_high_ratio_endpoints(self):
-        rows = welfare_curve([0.0, 1.0], aligned_contract(1.0, 50.0), LOW_SEVERITY, 1.0)
+        rows = welfare_curve([0.0, 1.0], 1.0, 50.0, LOW_SEVERITY, 1.0)
         assert rows[1][1] == 0.0
         assert rows[1][2] == pytest.approx(0.05 * LOW_SEVERITY.cost_null, abs=1e-9)
 
     def test_mixture_midpoint_is_average(self):
-        rows = welfare_curve([0.0, 0.5, 1.0], aligned_contract(1.0, 5.0), HIGH_SEVERITY, 1.0)
+        rows = welfare_curve([0.0, 0.5, 1.0], 1.0, 5.0, HIGH_SEVERITY, 1.0)
         for col in (1, 2):
             assert rows[1][col] == pytest.approx(
                 0.5 * (rows[0][col] + rows[2][col]), abs=1e-12
             )
 
     def test_affine_in_pi0(self):
-        rows = welfare_curve([0.1, 0.4, 0.7], aligned_contract(1.0, 50.0), HIGH_SEVERITY, 1.0)
+        rows = welfare_curve([0.1, 0.4, 0.7], 1.0, 50.0, HIGH_SEVERITY, 1.0)
         for col in (1, 2):
             lo, mid, hi = (r[col] for r in rows)
             assert mid == pytest.approx(0.5 * (lo + hi), abs=1e-9)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            welfare_curve([-0.1], aligned_contract(1.0, 5.0), HIGH_SEVERITY, 1.0)
+            welfare_curve([-0.1], 1.0, 5.0, HIGH_SEVERITY, 1.0)
 
 
 class TestMaximin:
@@ -127,7 +127,7 @@ class TestManyNullsLimit:
     def test_aligned_menu_nonnegative_on_grid(self):
         grid = [i / 100 for i in range(101)]
         for severity in (HIGH_SEVERITY, LOW_SEVERITY):
-            rows = welfare_curve(grid, aligned_contract(1.0, 50.0), severity, 1.0)
+            rows = welfare_curve(grid, 1.0, 50.0, severity, 1.0)
             assert all(ua >= -1e-12 for _, ua, _ in rows)
 
 
