@@ -38,7 +38,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--out", default=f"out/{command}", help="output directory")
         p.add_argument("--seed", type=int, help="override the seed")
-        p.add_argument("--reps", type=int, help="override Monte Carlo replicates")
+        if "reps" in SCHEMAS[name]:
+            p.add_argument("--reps", type=int, help="override Monte Carlo replicates")
         p.add_argument(
             "--param",
             action="append",
@@ -62,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
             overrides[key.strip()] = value.strip()
         if args.seed is not None:
             overrides["seed"] = str(args.seed)
-        if args.reps is not None:
+        if getattr(args, "reps", None) is not None:
             overrides["reps"] = str(args.reps)
         config = resolve_config(experiment, args.out, file_values, overrides)
         result = RUNNERS[experiment](config)

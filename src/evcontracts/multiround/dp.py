@@ -54,30 +54,22 @@ class DPPolicy:
         return self.updates[t - 1][level_index]
 
     def export_text(self) -> str:
-        """Policy table: t,level,action,z_breakpoints,grid_values,value."""
-        lines = ["t,level,action,z_breakpoints,grid_values,value"]
-        levels = self.grid.level_values()
-        for t in range(1, self.horizon + 1):
-            batch = self.updates[t - 1]
-            values = _join_12g(tuple(batch.values.tolist()))
-            top = _join_12g((float(batch.values[-1]),))
-            rows = zip(
-                levels, self.value_tables[t - 1], self.go[t - 1], batch.u, batch.breakpoints()
-            )
-            for level, value, go, u, breaks in rows:
-                if not go:
-                    lines.append(f"{t},{level:.12g},stop,,,{value:.12g}")
-                elif u == -np.inf:
-                    lines.append(f"{t},{level:.12g},continue,,{top},{value:.12g}")
-                else:
-                    breaks = _join_12g(tuple(breaks.tolist()))
-                    lines.append(f"{t},{level:.12g},continue,{breaks},{values},{value:.12g}")
+        """The policy as stored, floats as repr: ``t,level,action,log_multiplier,
+        value`` per (round, level), then a blank line and ``t,theta,log_slopes,
+        step_values`` per round. Level breakpoints: theta/2 - (log_slopes - u)/theta."""
+        lines = ["t,level,action,log_multiplier,value"]
+        levels = self.grid.level_values().tolist()
+        for t, batch in enumerate(self.updates, 1):
+            rows = zip(levels, self.go[t - 1], batch.u.tolist(), self.value_tables[t - 1].tolist())
+            for level, go, u, value in rows:
+                action = f"continue,{u!r}" if go else "stop,"
+                lines.append(f"{t},{level!r},{action},{value!r}")
+        lines += ["", "t,theta,log_slopes,step_values"]
+        for t, batch in enumerate(self.updates, 1):
+            slopes = ";".join(map(repr, batch.log_slopes.tolist()))
+            values = ";".join(map(repr, batch.values.tolist()))
+            lines.append(f"{t},{float(batch.theta)!r},{slopes},{values}")
         return "\n".join(lines) + "\n"
-
-
-def _join_12g(xs: tuple[float, ...]) -> str:
-    """``xs`` as ';'-separated %.12g fields, formatted in one call."""
-    return ";".join(["%.12g"] * len(xs)) % xs
 
 
 def _round_costs(costs: float | Sequence[float], horizon: int) -> tuple[float, ...]:

@@ -312,20 +312,17 @@ class StepBatch:
     values: np.ndarray
     u: np.ndarray
 
-    def breakpoints(self, rows=slice(None)) -> np.ndarray:
-        """Breakpoint matrix of the given rows; rows with u = -inf are -inf."""
-        return _breakpoints(self.log_slopes, self.u[rows, None], self.theta)
-
     def __getitem__(self, i: int) -> LicenseFn:
         if self.u[i] == -math.inf:
             return LicenseFn([], [self.values[-1]])
-        return LicenseFn(self.breakpoints([i])[0].tolist(), self.values.tolist())
+        breaks = _breakpoints(self.log_slopes, self.u[i], self.theta)
+        return LicenseFn(breaks.tolist(), self.values.tolist())
 
     def evaluate(self, rows, z):
         """Update rows[j] at z[j], equal to ``self[rows[j]](z[j])``; rows
         broadcasts against z. A binary search over the count of breakpoints
         at or below each z (as searchsorted side="right") probes each power
-        of two through ``_breakpoints``: the floats ``breakpoints()`` holds,
+        of two through ``_breakpoints``: the floats ``self[i]`` is built from,
         in O(len(z)) memory for any mix of rows."""
         u, z = np.broadcast_arrays(self.u[rows], z)
         n_breaks = self.log_slopes.size

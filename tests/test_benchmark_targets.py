@@ -3,7 +3,8 @@
 ``perfbench/tracer.py`` finds its targets by module and attribute name at
 run time, so deleting or renaming one of them breaks
 ``perfbench/run.py --trace 1`` without failing any other test; likewise an
-API edit that a workload's jobs depend on breaks ``perfbench/run.py``.
+API edit that a workload's jobs depend on, or a change to the output files
+its checks read, breaks ``perfbench/run.py``.
 """
 
 import importlib
@@ -13,6 +14,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from evcontracts.cli import main
+from evcontracts.multiround import LicenseGrid, backward_induction
 
 _BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,7 +34,8 @@ def _load_bench_module(stem: str):
 
 
 TARGETS = _load_bench_module("tracer").TARGETS
-WORKLOADS = _load_bench_module("workloads").WORKLOADS
+_workloads = _load_bench_module("workloads")
+WORKLOADS = _workloads.WORKLOADS
 
 
 @pytest.mark.parametrize("target", TARGETS, ids=[t.name for t in TARGETS])
@@ -52,3 +57,15 @@ def test_workload_warm_up_jobs_succeed(name, tmp_path):
     assert workload.warm_up_jobs
     for label, job in workload.warm_up_jobs:
         assert job() is True, label
+
+
+def test_policy_root_reads_the_cli_policy_file(tmp_path):
+    # the workloads' checks read the DP root from the policy file's second
+    # line; the warm-up test above runs their jobs but never their checks
+    out = tmp_path / "m"
+    argv = ["multiround", "--out", str(out), "--reps", "10", "--param", "horizon=3",
+            "--param", "levels=8", "--param", "caps=1", "--param", "theta_grid=1.645"]
+    assert main(argv) == 0
+    want = backward_induction(3, 0.1, 1.645, LicenseGrid.from_cap(1.0, 8)).root_value
+    got = _workloads.policy_root(out / "multiround_policy.txt")
+    assert abs(got - want) <= _workloads.ROOT_TOL

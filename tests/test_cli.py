@@ -161,6 +161,27 @@ class TestConfigParsing:
         assert sorted(tmp_path.iterdir()) == [blocker]
 
 
+class TestRepsFlag:
+    """--reps is offered only by the experiments whose schema has a reps key."""
+
+    def test_experiment_without_reps_rejects_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "w"
+        with pytest.raises(SystemExit) as exit_:
+            main(["welfare", "--out", str(out), "--reps", "5"])
+        assert exit_.value.code == EXIT_CONFIG
+        assert "--reps" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(SCHEMAS))
+    def test_help_lists_reps_only_where_the_schema_has_it(self, capsys, name):
+        command = name.replace("_", "-")
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == EXIT_OK
+        offered = "--reps" in capsys.readouterr().out
+        assert offered == (command in ("evalue-growth", "multiround"))
+
+
 class TestWelfareCommand:
     def test_default_structure(self, tmp_path):
         out = tmp_path / "w"
@@ -520,7 +541,10 @@ class TestMultiroundCommand:
         # curves and the terminal histograms must keep their exact bytes.
         # The digests were recorded with numpy 2.4.6 and scipy 1.17.1;
         # another numpy or scipy may move the last printed digit and need
-        # new ones.
+        # new ones. The policy digest was re-recorded when the file began to
+        # write the stored policy (repr floats, one row per level, one step
+        # pattern per round); test_dp.py::TestPolicyExport checks that every
+        # update rebuilt from the file equals the solver's.
         out = tmp_path / "m"
         code = main(
             ["multiround", "--out", str(out), "--reps", "200",
@@ -540,7 +564,7 @@ class TestMultiroundCommand:
         }
         assert digests == {
             "multiround_policy.txt":
-                "3eb4063bc8524c640c6a5a785a004b255ac559f3746258f402f39e80d3944b99",
+                "f81a9f02909c99edbdbcf5e57502a4ae191dc6b1b75a8f840b817c017609e9c4",
             "multiround_episodes.csv":
                 "87f73b50054c12adffd616a036afd0f38844ca935d8821e6dfdb83183dfeeb89",
             "multiround_profit_cap1.csv":

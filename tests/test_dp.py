@@ -382,21 +382,79 @@ class TestDiscreteEvidenceMode:
         assert discrete <= analytic.root_value + 1e-9
 
 
+def _read_policy(text: str):
+    """Section 1's rows as field lists, and section 2 as
+    {t: (theta, log_slopes, step_values)} parsed back to floats."""
+    levels_part, patterns_part = text.split("\n\n")
+    rows = [line.split(",") for line in levels_part.splitlines()]
+    patterns = [line.split(",") for line in patterns_part.splitlines()]
+    assert rows[0] == ["t", "level", "action", "log_multiplier", "value"]
+    assert patterns[0] == ["t", "theta", "log_slopes", "step_values"]
+
+    def floats(field: str) -> list[float]:
+        return [float(x) for x in field.split(";")] if field else []
+
+    return rows[1:], {
+        int(t): (float(theta), np.array(floats(slopes)), floats(values))
+        for t, theta, slopes, values in patterns[1:]
+    }
+
+
 class TestPolicyExport:
-    def test_table_format(self):
-        grid = LicenseGrid.from_cap(1.0, 4)
-        policy = backward_induction(2, 0.3, 1.0, grid)
+    """The exported file holds the stored policy: every update rebuilt from
+    it through theta/2 - (log_slopes - u)/theta equals the solver's own."""
+
+    # (cap, theta, levels, cost, constant); a cost just under one grid step
+    # makes the level below the cap continue with the constant top update,
+    # whose row writes u = -inf
+    CASES = (
+        (1.0, 1.645, 20, 0.1, False),
+        (5.0, 0.5, 30, 0.1, False),
+        (1.0, 8.0, 12, 0.1, False),
+        (1.0, 1.645, 10, 0.1 - 1e-13, True),
+        (5.0, 0.5, 20, 0.25 - 5e-13, True),
+    )
+
+    @pytest.mark.parametrize("cap, theta, levels, cost, constant", CASES)
+    def test_file_rebuilds_every_update_exactly(self, cap, theta, levels, cost, constant):
+        horizon = 3
+        policy = backward_induction(horizon, cost, theta, LicenseGrid.from_cap(cap, levels))
+        rows, patterns = _read_policy(policy.export_text())
+        grid_levels = policy.grid.level_values()
+        states = [(t, i) for t in range(1, horizon + 1) for i in range(levels + 1)]
+        assert len(rows) == len(states)
+        kinds = set()
+        for (t, level, action, u, value), (want_t, i) in zip(rows, states):
+            assert (int(t), float(level)) == (want_t, grid_levels[i])
+            assert float(value) == policy.value_tables[want_t - 1][i]
+            want = policy.action(want_t, i)
+            if action == "stop":
+                assert want is None and u == ""
+                kinds.add("stop")
+                continue
+            assert action == "continue"
+            pattern_theta, log_slopes, step_values = patterns[want_t]
+            assert pattern_theta == theta
+            if float(u) == -math.inf:
+                breaks, values = [], step_values[-1:]
+                kinds.add("constant")
+            else:
+                breaks = (pattern_theta / 2.0 - (log_slopes - float(u)) / pattern_theta).tolist()
+                values = step_values
+                kinds.add("steps")
+            assert list(want.breakpoints) == breaks
+            assert list(want.values) == values
+        assert kinds == ({"stop", "steps", "constant"} if constant else {"stop", "steps"})
+
+    @pytest.mark.parametrize("horizon, levels", ((1, 1), (2, 4), (5, 40)))
+    def test_one_row_per_level_and_one_per_round(self, horizon, levels):
+        policy = backward_induction(horizon, 0.1, 1.0, LicenseGrid.from_cap(5.0, levels))
         lines = policy.export_text().splitlines()
-        assert lines[0] == "t,level,action,z_breakpoints,grid_values,value"
-        assert len(lines) == 1 + 2 * 5  # two rounds, five levels
-        first = lines[1].split(",")
-        assert first[0] == "1" and first[1] == "0"
-        assert first[2] in ("stop", "continue")
-        continue_rows = [l for l in lines[1:] if ",continue," in l]
-        assert continue_rows, "some state must continue"
-        fields = continue_rows[0].split(",")
-        assert ";" in fields[4] or fields[4]  # grid values list present
-        float(fields[5])  # value parses
+        assert len(lines) == 1 + horizon * (levels + 1) + 2 + horizon
+        blank = lines.index("")
+        assert blank == 1 + horizon * (levels + 1)
+        for section in (lines[:blank], lines[blank + 1 :]):
+            assert {line.count(",") for line in section} == {section[0].count(",")}
 
 
 class TestPooledAgentComparison:
