@@ -30,8 +30,7 @@ from .fda import (
     builtin_protocols,
     matches_reference,
 )
-from .gaussian import GaussianModel, RandomStream, sample_normal, upper_tail_inverse
-from .licenses import null_expectation
+from .gaussian import GaussianModel, RandomStream, sample_normal, upper_tail
 from .single_round import np_best_response
 from .svgplot import render_lines
 from .welfare import HIGH_SEVERITY, LOW_SEVERITY, welfare_curve
@@ -148,7 +147,8 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     },
     "fda_audit": {
         "seed": Key("int", DEFAULT_SEED),
-        "cost": Key("float", float(DEFAULT_TRIAL_COST), above=0.0),
+        # money is counted in thousands, and a cost up to $500 rounds to 0 of them
+        "cost": Key("float", float(DEFAULT_TRIAL_COST), above=500.0),
         "profits": Key("floats", tuple(map(float, DEFAULT_PROFITS)), above=0.0),
         "band": Key("float", DEFAULT_BAND, at_least=0.0),
     },
@@ -159,8 +159,10 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "levels": Key("int", 100, at_least=1),
         # a repeated cap or effect would solve and write the same cell twice
         "caps": Key("floats", (1.0, 5.0), above=0.0, unique=True),
-        "theta_grid": Key("floats", (0.5, 1.0, 1.645, 2.5), unique=True),
-        "theta_star": Key("float", 1.645, above=0.0),
+        # effects are draw means, bounded as evalue_growth's theta1 is
+        "theta_grid": Key("floats", (0.5, 1.0, 1.645, 2.5), above=-(2.0**52), below=2.0**52,
+                          unique=True),
+        "theta_star": Key("float", 1.645, above=0.0, below=2.0**52),
         "reps": Key("int", 10_000, at_least=2),
     },
     "best_response": {
@@ -493,6 +495,15 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
     """
     caps, star = config["caps"], config["theta_star"]
     T, cost, root = config["horizon"], config["cost"], math.sqrt(config["reps"])
+    # each key lies in its domain, but the level spacing may round to 0, and
+    # the profits, in [-T * cost, cap], are squared for their standard errors
+    spacing, span = min(caps) / config["levels"], max(caps) + T * cost
+    if not spacing > 0.0:
+        raise ConfigError(f"bad values for 'caps' and 'levels': the level spacing "
+                          f"{min(caps)!r} / {config['levels']} rounds to 0")
+    if not math.isfinite(span * span):
+        raise ConfigError(f"bad values for 'caps', 'cost' and 'horizon': the profit range "
+                          f"{max(caps)!r} + {T} * {cost!r} overflows when squared")
 
     def is_star(cap: float, theta1: float) -> bool:
         return cap == min(caps) and math.isclose(theta1, star, rel_tol=0.0, abs_tol=1e-12)
@@ -574,10 +585,9 @@ def run_best_response(config: ExperimentConfig) -> RunResult:
                 f"bad value for 'cap' and 'cost_ratios': the cost {ratio!r} * {cap!r} "
                 f"rounds to {ratio * cap!r} and must be positive"
             )
-        threshold = upper_tail_inverse(ratio)
         for theta1 in config["theta_grid"]:
-            f = np_best_response(0.0, theta1, ratio * cap, cap)
-            power = null_expectation(f, GaussianModel(theta1)) / cap
+            threshold = np_best_response(0.0, theta1, ratio * cap, cap).approval_threshold()
+            power = upper_tail(threshold - theta1)
             rows.append((ratio, theta1, threshold, power, cap * power - ratio * cap))
     outputs = [(
         "best_response.csv", write_csv,

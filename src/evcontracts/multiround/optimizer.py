@@ -21,6 +21,8 @@ round against it in one vectorized pass (optimal_steps). The gaps between
 breakpoints do not depend on lambda, so the round's updates are kept as one
 StepBatch: the shared step values and log-slopes plus one log-multiplier per
 level, from which a LicenseFn step function of z is built only on demand.
+One knot set serves throughout: every positive-slope hull knot is priced by
+the multiplier solve, scored under the alternative and stored as a step.
 """
 
 from __future__ import annotations
@@ -40,10 +42,6 @@ LAMBDA_REL_TOL = 1e-12
 _LATTICE_ORIGIN = math.log(1e-6)
 _LATTICE_STEP = (math.log(1e6) - math.log(1e-6)) / 64
 _MAX_ITERATIONS = 200
-
-# Breakpoints closer than this are merged when assembling a step update;
-# they arise only from near-equal hull slopes.
-_MERGE_TOL = 1e-12
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -100,8 +98,10 @@ def _positive_slope_prefix(v: PLCValue) -> tuple[np.ndarray, np.ndarray]:
 
 def _breakpoints(log_slopes, u, theta: float):
     """Breakpoints theta/2 - (log_slopes - u) / theta, broadcast elementwise:
-    pass u[:, None] for the matrix y[l, k] of the updates priced at u[l]."""
-    return theta / 2.0 - (log_slopes - u) / theta
+    pass u[:, None] for the matrix y[l, k] of the updates priced at u[l].
+    A breakpoint beyond the double range (a subnormal theta) is +-inf."""
+    with np.errstate(over="ignore"):
+        return theta / 2.0 - (log_slopes - u) / theta
 
 
 def _spend(
@@ -274,28 +274,6 @@ def solve_lambda(v: PLCValue, theta: float, budget):
     return float(lam[0]) if np.ndim(budget) == 0 else lam
 
 
-def _merge_pattern(
-    knots: np.ndarray, log_slopes: np.ndarray, theta: float
-) -> tuple[list[int], list[float]]:
-    """Kept breakpoint indices and the values [0, knots...] of the update's
-    intervals, with zero-width intervals from numerically equal slopes
-    merged into the larger knot.
-
-    Breakpoint gaps y_k - y_j = (log slope_j - log slope_k) / theta do not
-    depend on lambda, so one pattern serves every budget of a round.
-    """
-    keep: list[int] = []
-    values = [0.0]
-    log_slopes = log_slopes.tolist()
-    for k, knot in enumerate(knots.tolist()):
-        if keep and (log_slopes[keep[-1]] - log_slopes[k]) / theta <= _MERGE_TOL:
-            values[-1] = knot  # interval collapsed: keep the larger knot
-        else:
-            keep.append(k)
-            values.append(knot)
-    return keep, values
-
-
 @dataclass(frozen=True, eq=False)
 class StepBatch:
     """The optimal updates of a batch of budgets, stored as one step pattern.
@@ -303,8 +281,10 @@ class StepBatch:
     Update i pays the shared step ``values`` on the intervals cut by its
     breakpoints y[i, k] = theta/2 - (log_slopes[k] - u[i]) / theta, so it is
     fixed by its log-multiplier u[i] alone; u[i] = -inf marks the constant
-    update values[-1]. Indexing builds update i as a LicenseFn; ``evaluate``
-    applies any mix of updates to an array of evidence without building one.
+    update values[-1]. There is one breakpoint per positive-slope hull knot
+    and ``values`` is [0, knots...]; at equal breakpoints the larger knot is
+    paid from the tie on. Indexing builds update i as a LicenseFn;
+    ``evaluate`` applies any mix of updates to evidence without building one.
     """
 
     theta: float
@@ -344,7 +324,8 @@ def optimal_steps(
     table (lossless for the optimum), built once per round by the caller.
     Each budget's multiplier is solved so its update's null expectation
     equals the budget; all budgets share one multiplier solve. Returns the
-    updates and their expected hull values under the alternative. A budget
+    updates, with a step at every positive-slope knot the solve priced, and
+    their expected hull values under the alternative. A budget
     at or above the top reachable knot degenerates to the constant top
     update with slack budget.
     """
@@ -358,7 +339,6 @@ def optimal_steps(
         raise ValueError(f"budget must be positive, got {float(budgets[bad][0])}")
     knots, slopes = _positive_slope_prefix(value)
     log_slopes = np.log(slopes)
-    keep, step_values = _merge_pattern(knots, log_slopes, theta1)
     # A flat value function has no knot worth buying: it never spends.
     top = float(knots[-1]) if knots.size else 0.0
     u = np.full(budgets.size, -math.inf)
@@ -368,7 +348,7 @@ def optimal_steps(
         u[inner] = np.log(solve_lambda(value, theta1, budgets[inner]))
         y = _breakpoints(log_slopes, u[inner, None], theta1)
         alt_values[inner] = _alternative_values(value, knots.size, y, theta1)
-    return StepBatch(theta1, log_slopes[keep], np.array(step_values), u), alt_values
+    return StepBatch(theta1, log_slopes, np.concatenate(([0.0], knots)), u), alt_values
 
 
 def optimal_step(

@@ -89,17 +89,21 @@ def least_concave_majorant(
     if xs.shape != ys.shape or xs.ndim != 1 or xs.size == 0:
         raise ValueError("xs and ys must be equal-length nonempty 1-d sequences")
     # Monotone-chain upper hull: pop the middle point whenever it lies on or
-    # below the chord of its neighbors.
-    hull: list[tuple[float, float]] = []
-    for x, y in zip(xs, ys):
+    # below the chord of its neighbors. The test multiplies two differences,
+    # which overflow or underflow at extreme scales, so it runs on copies of
+    # the axes scaled by powers of two (exactly) to a largest magnitude below 1.
+    sx, sy = (np.ldexp(a, -np.frexp(np.max(np.abs(a)))[1]).tolist() for a in (xs, ys))
+    hull: list[tuple[int, float, float]] = []
+    for i, (x, y) in enumerate(zip(sx, sy)):
         while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            (_, x1, y1), (_, x2, y2) = hull[-2], hull[-1]
             if (y2 - y1) * (x - x2) <= (y - y2) * (x2 - x1):
                 hull.pop()
             else:
                 break
-        hull.append((x, y))
-    return PLCValue([p[0] for p in hull], [p[1] for p in hull])
+        hull.append((i, x, y))
+    keep = [p[0] for p in hull]
+    return PLCValue(xs[keep], ys[keep])
 
 
 def concave_monotone_hull(xs: Sequence[float], ys: Sequence[float]) -> PLCValue:

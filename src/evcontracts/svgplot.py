@@ -8,6 +8,7 @@ automatic ranges. Deterministic output: same input, same bytes.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 from typing import Sequence
 
@@ -18,15 +19,18 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 30, 40, 55
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / n
+    if not sys.float_info.min <= raw < math.inf:  # no decimal step to find
+        return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
     first = math.ceil(lo / step) * step
     out = []
     value = first
-    while value <= hi + 1e-12 * step:
+    # at most n + 1 ticks fit, also where adding a step changes nothing
+    for _ in range(n + 1):
+        if value > hi + 1e-12 * step:
+            break
         out.append(0.0 if abs(value) < 1e-12 * step else value)
         value += step
     return out
@@ -50,10 +54,11 @@ def render_lines(
         raise ValueError("nothing to plot")
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
+    # widen a point range by 1, or by one ulp where adding 1 rounds away
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = max(x_lo + 1.0, math.nextafter(x_lo, math.inf))
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = max(y_lo + 1.0, math.nextafter(y_lo, math.inf))
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -11,7 +11,9 @@ import pytest
 import evcontracts
 from evcontracts import experiments
 from evcontracts.cli import EXIT_CONFIG, EXIT_DEVIATION, EXIT_OK, main
-from evcontracts.gaussian import GaussianModel, RandomStream, sample_normal
+from evcontracts.gaussian import (
+    GaussianModel, RandomStream, sample_normal, upper_tail, upper_tail_inverse,
+)
 from evcontracts.experiments import (
     SCHEMAS,
     ConfigError,
@@ -285,7 +287,7 @@ class TestFdaCommand:
         # money is integer thousands: a $400 trial would be audited as free
         code = main(["fda-audit", "--out", str(tmp_path / "fda"), "--param", "cost=400"])
         assert code == EXIT_CONFIG
-        assert "trial cost 400" in capsys.readouterr().err
+        assert "bad value for 'cost': 400.0 (must be > 500)" in capsys.readouterr().err
 
     def test_reference_deviation_exit_code(self, tmp_path, monkeypatch):
         # tampering with the committed verdicts must be caught on a default run
@@ -794,6 +796,19 @@ class TestBestResponseCommand:
         row = by_key[("0.05", "1")]
         assert float(row[2]) == pytest.approx(1.6449, abs=1e-4)
         assert float(row[3]) == pytest.approx(0.2595, abs=5e-5)
+
+    def test_threshold_is_the_scored_licenses(self, tmp_path, monkeypatch):
+        # at cap 3 the scored license's null mass 0.1 * 3 / 3 is not 0.1 bit
+        # for bit, so its threshold differs from the quantile of the ratio
+        written = []
+        monkeypatch.setattr(experiments, "write_csv", lambda path, header, rows: written.extend(rows))
+        argv = ["best-response", "--out", str(tmp_path / "b"), "--param", "cap=3",
+                "--param", "cost_ratios=0.1", "--param", "theta_grid=1"]
+        assert main(argv) == EXIT_OK
+        [(_, _, threshold, power, _)] = written
+        assert threshold == np_best_response(0.0, 1.0, 0.1 * 3.0, 3.0).breakpoints[0]
+        assert threshold != upper_tail_inverse(0.1)
+        assert power == upper_tail(threshold - 1.0)
 
     def test_ratio_validation(self, tmp_path):
         code = main(

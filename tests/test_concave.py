@@ -77,6 +77,15 @@ class TestLeastConcaveMajorant:
         hull = least_concave_majorant([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
         assert list(hull.knots) == [0.0, 2.0]
 
+    @pytest.mark.parametrize("scale", (2.0**600, 2.0**-600))
+    def test_extreme_scales_keep_every_hull_point(self, scale):
+        # the chord test's products would overflow (or underflow) at these
+        # scales; scaling by a power of two changes no decision
+        xs = np.arange(5.0)
+        hull = concave_monotone_hull(xs * scale, np.sqrt(xs) * scale)
+        assert hull.knots.tolist() == (xs * scale).tolist()
+        assert hull.values.tolist() == (np.sqrt(xs) * scale).tolist()
+
     def test_requires_origin(self):
         with pytest.raises(ValueError):
             least_concave_majorant([1.0, 2.0], [0.0, 1.0])

@@ -1,7 +1,11 @@
 """The config boundary: every key's declared domain is what resolve_config
 accepts, and a rejected value exits 2 before anything is written."""
 
+import contextlib
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -124,7 +128,7 @@ EDGE_CASES = [
     ("evalue_growth", "n_max", "0"),
     ("evalue_growth", "reps", "1"),
     ("evalue_growth", "paths_out", "-1"),
-    ("fda_audit", "cost", "0"),
+    ("fda_audit", "cost", "500"),
     ("fda_audit", "profits", "1e9,0"),
     ("fda_audit", "band", "-5e-324"),
     ("multiround", "horizon", "0"),
@@ -203,3 +207,50 @@ def test_cli_rejects_evalue_overflow_before_writing(tmp_path, capsys, theta1):
     assert "bad value for 'theta1'" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# Size keys drawn small, so that a search over every key stays fast.
+SMALL = {"grid_points": 5, "n_max": 10, "reps": 10, "paths_out": 3, "horizon": 3, "levels": 6}
+
+
+def small_inside(key: str, spec: Key) -> st.SearchStrategy:
+    """In-domain values with the size keys bounded and lists of at most two."""
+    if key in SMALL:
+        return st.integers(spec.at_least, SMALL[key])
+    if spec.kind == "floats":
+        return st.lists(inside_scalar(spec), min_size=1, max_size=2, unique=spec.unique)
+    return inside_scalar(spec)
+
+
+@st.composite
+def in_domain_run(draw, experiment: str) -> dict[str, str]:
+    """Each key at its default or at a value drawn from its domain; size keys
+    are always drawn, since some defaults are large."""
+    overrides = {}
+    for key, spec in SCHEMAS[experiment].items():
+        if key in SMALL or draw(st.booleans()):
+            overrides[key] = as_text(spec, draw(small_inside(key, spec)))
+    return overrides
+
+
+@pytest.mark.parametrize("experiment", SCHEMAS)
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_in_domain_run_succeeds_or_names_a_key(experiment, data):
+    # Either the run succeeds, or it exits 2 before writing anything, with a
+    # message that quotes one of the experiment's keys. An exception, and a
+    # RuntimeWarning (an error under this suite's filter), both fail.
+    overrides = data.draw(in_domain_run(experiment))
+    argv = [experiment.replace("_", "-")]
+    for key, value in overrides.items():
+        argv += ["--param", f"{key}={value}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", str(out)])
+        if code == EXIT_CONFIG:
+            assert any(repr(key) in stderr.getvalue() for key in SCHEMAS[experiment])
+            assert not out.exists()
+        else:
+            assert code == 0

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evcontracts import (
     GaussianModel,
@@ -340,6 +341,72 @@ class TestGridNesting:
         assert np.all(steps >= 0.0)
         ratios = steps[:-1] / steps[1:]
         assert np.all((ratios >= 3.5) & (ratios <= 4.5)), ratios
+
+
+class TestExtremeScales:
+    # knots, values and budgets scale by a power of two exactly, and the
+    # hull's chord test no longer overflows or underflows on the way
+    @pytest.mark.parametrize("k", (1, 10, 100, 600, -600))
+    def test_root_scales_exactly_with_cap_and_cost(self, k):
+        def root(scale):
+            return backward_induction(2, 0.1 * scale, 1.0, LicenseGrid.from_cap(scale, 4)).root_value
+
+        assert root(2.0**k) == math.ldexp(root(1.0), k)
+
+
+# One DP configuration: horizon, levels, cap, cost as a share of the cap, effect.
+DP_CONFIGS = st.tuples(
+    st.integers(1, 3),
+    st.integers(1, 8),
+    st.floats(0.5, 50.0),
+    st.floats(1e-3, 1.0, exclude_max=True),
+    st.floats(0.01, 20.0),
+)
+# Each multiplier solve meets its budget to LAMBDA_REL_TOL, relative; the
+# root is a profit in cap units, so comparisons allow that much of the cap.
+PROPERTY = settings(max_examples=40, derandomize=True, database=None, deadline=None)
+
+
+def _root(horizon, cost, theta, cap, levels):
+    return backward_induction(horizon, cost, theta, LicenseGrid.from_cap(cap, levels)).root_value
+
+
+class TestRootProperties:
+    @PROPERTY
+    @given(DP_CONFIGS, st.floats(0.01, 20.0))
+    def test_nondecreasing_in_effect(self, config, other):
+        horizon, levels, cap, share, theta = config
+        low, high = sorted((theta, other))
+        slack = optimizer.LAMBDA_REL_TOL * cap
+        assert _root(horizon, share * cap, high, cap, levels) >= (
+            _root(horizon, share * cap, low, cap, levels) - slack
+        )
+
+    @PROPERTY
+    @given(DP_CONFIGS)
+    def test_doubling_cap_and_levels_never_loses(self, config):
+        # the doubled grid has the same spacing and contains the original
+        horizon, levels, cap, share, theta = config
+        slack = optimizer.LAMBDA_REL_TOL * cap
+        assert _root(horizon, share * cap, theta, 2.0 * cap, 2 * levels) >= (
+            _root(horizon, share * cap, theta, cap, levels) - slack
+        )
+
+    @PROPERTY
+    @given(DP_CONFIGS)
+    def test_at_least_the_one_round_best_response(self, config):
+        horizon, levels, cap, share, theta = config
+        one_round = max(0.0, np_profit(share * cap, cap, theta))
+        slack = optimizer.LAMBDA_REL_TOL * cap
+        assert _root(horizon, share * cap, theta, cap, levels) >= one_round - slack
+
+    def test_can_rise_with_cost(self):
+        # not a defect: a single round's best-response profit
+        # R * Q(Q^-1(C/R) - theta) - C grows with C while C/R < Q(theta/2),
+        # since its derivative in C is the likelihood ratio at the threshold
+        # minus one
+        cheap, dear = (_root(1, cost, 1.0, 1.0, 20) for cost in (0.05, 0.1))
+        assert (round(cheap, 4), round(dear, 4)) == (0.2095, 0.2891)
 
 
 class TestDiscreteEvidenceMode:

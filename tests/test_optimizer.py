@@ -410,6 +410,31 @@ class TestOptimalStep:
             optimal_step(concave_monotone_hull(levels, levels), 1.0, 0.0)
 
 
+class TestOneKnotSet:
+    def test_near_equal_slopes_keep_their_own_steps(self):
+        # slopes 2 and 2 * (1 - 1e-14) put two breakpoints about 1e-14 apart;
+        # the stored updates keep both, as the multiplier solve priced them
+        s = 2.0 * (1.0 - 1e-14)
+        value = PLCValue([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 2.0 + s, 2.5 + s])
+        budgets = [0.3, 1.0, 2.0]
+        batch, _ = optimal_steps(value, 1.0, budgets)
+        assert batch.log_slopes.tolist() == np.log(value.left_slopes()).tolist()
+        assert batch.values.tolist() == [0.0, 1.0, 2.0, 3.0]
+        for i, budget in enumerate(budgets):
+            assert len(batch[i].breakpoints) == 3
+            spent = null_expectation(batch[i], NULL)
+            assert abs(spent - budget) <= optimizer.LAMBDA_REL_TOL * budget
+
+    def test_tie_pays_the_larger_knot_from_the_tie_on(self):
+        # breakpoints 0, 0.5, 0.5 and 1.5: the second and third coincide
+        batch = optimizer.StepBatch(1.0, np.array([0.5, 0.0, 0.0, -1.0]), np.arange(5.0), np.zeros(1))
+        z = np.array([-1.0, 0.0, math.nextafter(0.5, 0.0), 0.5, 1.0, 1.5])
+        assert batch.evaluate(0, z).tolist() == [0.0, 1.0, 1.0, 3.0, 3.0, 4.0]
+        # a LicenseFn view of a tie fails loudly
+        with pytest.raises(ValueError, match="strictly increasing"):
+            batch[0]
+
+
 def _outcome_probs(update: LicenseFn, mean: float) -> list[float]:
     from evcontracts import upper_tail
 
