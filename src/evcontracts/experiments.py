@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -30,7 +31,7 @@ from .fda import (
     builtin_protocols,
     matches_reference,
 )
-from .gaussian import GaussianModel, RandomStream, sample_normal, upper_tail
+from .gaussian import GaussianModel, RandomStream, mean_and_se, sample_normal, upper_tail
 from .single_round import np_best_response
 from .svgplot import render_lines
 from .welfare import HIGH_SEVERITY, LOW_SEVERITY, welfare_curve
@@ -154,7 +155,7 @@ SCHEMAS: dict[str, dict[str, Key]] = {
     },
     "multiround": {
         "seed": Key("int", DEFAULT_SEED),
-        "horizon": Key("int", 5, at_least=1),
+        "horizon": Key("int", 5, at_least=1, below=2**53),  # a double holds every such count
         "cost": Key("float", 0.1, above=0.0),
         "levels": Key("int", 100, at_least=1),
         # a repeated cap or effect would solve and write the same cell twice
@@ -360,14 +361,6 @@ def run_evalue_growth(config: ExperimentConfig) -> RunResult:
         z -= drift
         return z
 
-    def mean_and_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # column means and standard errors, equal to std(ddof=1) / sqrt(reps)
-        # bit for bit but computed in place: x is overwritten
-        mean = x.mean(axis=0)
-        x -= mean
-        x *= x
-        return mean, np.sqrt(x.sum(axis=0) / (reps - 1)) / math.sqrt(reps)
-
     # One matrix at a time: the null's is reduced and freed before the
     # alternative's is drawn. Overflow is checked once, on the results.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -493,25 +486,22 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
     then the theta_star cell at the smallest cap (histograms, policy table
     and episode ledger), appended only when no grid cell is that cell.
     """
-    caps, star = config["caps"], config["theta_star"]
-    T, cost, root = config["horizon"], config["cost"], math.sqrt(config["reps"])
-    # each key lies in its domain, but the level spacing may round to 0, and
-    # the profits, in [-T * cost, cap], are squared for their standard errors
+    caps, T, cost = config["caps"], config["horizon"], config["cost"]
+    star = (min(caps), config["theta_star"])
+    # in-domain keys may still give a subnormal level spacing, where the DP loses
+    # digits, or a profit range [-T * cost, cap] too wide for the figure's axis
     spacing, span = min(caps) / config["levels"], max(caps) + T * cost
-    if not spacing > 0.0:
+    if not spacing >= sys.float_info.min:
         raise ConfigError(f"bad values for 'caps' and 'levels': the level spacing "
-                          f"{min(caps)!r} / {config['levels']} rounds to 0")
+                          f"{min(caps)!r} / {config['levels']} is not a normal double")
     if not math.isfinite(span * span):
         raise ConfigError(f"bad values for 'caps', 'cost' and 'horizon': the profit range "
                           f"{max(caps)!r} + {T} * {cost!r} overflows when squared")
 
-    def is_star(cap: float, theta1: float) -> bool:
-        return cap == min(caps) and math.isclose(theta1, star, rel_tol=0.0, abs_tol=1e-12)
-
     cells = [(cap, theta1) for cap in caps for theta1 in config["theta_grid"]]
     n_grid = len(cells)
-    if not any(is_star(*cell) for cell in cells):
-        cells.append((min(caps), star))
+    if star not in cells:
+        cells.append(star)
 
     # Only the curve rows and the star cell's arrays are kept.
     curve_summaries = {cap: [] for cap in caps}
@@ -521,9 +511,10 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
         if i < n_grid:
             row = [theta1]
             for x, paid in ((episodes.profit, 0.0), (one, cost), (five, T * cost)):
-                row += [float(x.mean()) - paid, float(x.std(ddof=1)) / root]
+                mean, se = mean_and_se(x.copy())
+                row += [float(mean) - paid, float(se)]
             curve_summaries[cap].append(tuple(row))
-        if is_star(cap, theta1):
+        if (cap, theta1) == star:
             star_cell = cell
 
     outputs, star_summary = _star_outputs(T * cost, *star_cell)
@@ -547,7 +538,6 @@ def _star_outputs(pooled_cost: float, policy, episodes, one, five) -> tuple[list
     plus the full policy table and per-episode ledger, and their summary.
     ``one`` and ``five`` are the one-round references' license payouts;
     the pooled agent paid ``pooled_cost`` upfront."""
-    cap = policy.grid.cap
     values, counts = np.unique(episodes.terminal_license, return_counts=True)
     terminal = [("multi_round", v, c) for v, c in zip(values, counts)]
     for name, payouts in (("one_round", one), ("five_data", five)):
@@ -564,12 +554,13 @@ def _star_outputs(pooled_cost: float, policy, episodes, one, five) -> tuple[list
          ["rep", "tau", "terminal_license", "total_cost", "profit"],
          episodes_to_csv_rows(episodes)),
     ]
+    means = [float(mean_and_se(x.copy())[0]) for x in (episodes.total_cost, episodes.profit, five)]
     summary = {
-        "p_terminal_cap": float(np.mean(episodes.terminal_license >= cap - 1e-12)),
+        "p_terminal_cap": float(np.mean(episodes.terminal_license == policy.grid.cap)),
         "mean_rounds": float(episodes.tau.mean()),
-        "mean_total_cost": float(episodes.total_cost.mean()),
-        "mean_profit_multi": float(episodes.profit.mean()),
-        "mean_profit_five_data": float(five.mean()) - pooled_cost,
+        "mean_total_cost": means[0],
+        "mean_profit_multi": means[1],
+        "mean_profit_five_data": means[2] - pooled_cost,
     }
     return outputs, summary
 

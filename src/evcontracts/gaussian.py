@@ -1,4 +1,4 @@
-"""Gaussian tail arithmetic and seeded sampling used by every other module.
+"""Gaussian tail arithmetic, seeded sampling and Monte Carlo means for every module.
 
 All evidence in this package is Gaussian-location: a single observation is
 N(theta, 1), an n-sample mean is N(theta, 1/sqrt(n)). Tail probabilities are
@@ -104,3 +104,19 @@ def sample_normal(
     if np.any(np.asarray(n) < 0):
         raise ValueError(f"n must be nonnegative, got {n}")
     return stream.generator().normal(model.mean, model.sd, size=n)
+
+
+def mean_and_se(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Means along axis 0 and their standard errors, the sample SD (ddof=1)
+    over sqrt(n), computed in place (``x`` is overwritten) on ``x`` scaled by
+    the power of two that brings max |x| into [0.5, 1): no square overflows
+    or underflows at an extreme scale, and both results scale exactly with
+    ``x`` by powers of two. A non-finite ``x`` stays unscaled (frexp gives 0)."""
+    n = len(x)
+    _, e = math.frexp(max(x.max(), -x.min()))
+    np.ldexp(x, -e, out=x)
+    mean = x.mean(axis=0)
+    x -= mean
+    x *= x
+    se = np.sqrt(x.sum(axis=0) / (n - 1)) / math.sqrt(n)
+    return np.ldexp(mean, e), np.ldexp(se, e)

@@ -5,7 +5,7 @@ round the agent either stops, keeping the current license, or pays the round
 cost and replaces the license by a step function of fresh evidence whose
 null expectation may not exceed the old level plus the cost paid (the update
 divided by that budget is an e-value). Terminal reward is the license value
-capped at the grid top; costs are booked additively as they are paid, which
+held, at most the grid top; costs are booked additively as they are paid, which
 is equivalent for profit-linear utility and keeps the state one-dimensional.
 
 The updates of all levels in a round share one step pattern and differ only
@@ -91,7 +91,7 @@ def _induct(
     round_costs: Sequence[float],
     best_steps: Callable[[np.ndarray, np.ndarray], tuple[object, np.ndarray]],
 ) -> tuple[list[np.ndarray], list[tuple[object, np.ndarray]]]:
-    """Backward induction from the capped terminal value over the rounds.
+    """Backward induction from the terminal value, the level held, over the rounds.
 
     ``best_steps(value, budgets)`` solves one round: given the next round's
     value table and each level's budget (level plus the round's cost), it
@@ -102,7 +102,7 @@ def _induct(
     order.
     """
     levels = grid.level_values()
-    value = np.minimum(levels, grid.cap)
+    value = levels
     tables = [value]
     rounds = []
     for cost in reversed(round_costs):

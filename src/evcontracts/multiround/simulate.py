@@ -27,7 +27,7 @@ from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from ..gaussian import GaussianModel, RandomStream, sample_normal
+from ..gaussian import GaussianModel, RandomStream, mean_and_se, sample_normal
 from ..licenses import LicenseFn, null_expectation
 from .dp import DPPolicy, _round_costs
 
@@ -263,8 +263,8 @@ def supermartingale_check(
 
     Passes when every estimate is at most three standard errors above zero;
     a standard error needs at least two episodes. The costs argument
-    recomputes the paid-cost ledger from the indicators, so a batch with
-    inconsistent bookkeeping is rejected.
+    recomputes the paid-cost ledger from the indicators, the product both
+    simulators store, so a batch whose ledger differs in any bit is rejected.
     """
     n = len(episodes)
     if n < 2:
@@ -273,13 +273,10 @@ def supermartingale_check(
     if costs.shape != (episodes.horizon,):
         raise ValueError("need one round cost per stage")
     implied = episodes.indicators * costs[np.newaxis, :]
-    if not np.allclose(implied, episodes.costs_paid, rtol=0.0, atol=1e-12):
+    if not np.array_equal(implied, episodes.costs_paid):
         raise ValueError("episode cost ledger disagrees with the given costs")
-    paths = episodes.net_profit_paths()
-    means = paths.mean(axis=0)
-    ses = paths.std(axis=0, ddof=1) / np.sqrt(n)
-    terminal_mean = float(episodes.profit.mean())
-    terminal_se = float(episodes.profit.std(ddof=1) / np.sqrt(n))
+    means, ses = mean_and_se(episodes.net_profit_paths())
+    terminal_mean, terminal_se = map(float, mean_and_se(episodes.profit.copy()))
     passes = bool(np.all(means <= 3.0 * ses) and terminal_mean <= 3.0 * terminal_se)
     return SupermartingaleReport(
         stage_means=tuple(float(m) for m in means),

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -517,6 +518,17 @@ class TestMultiroundCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_theta_star_near_a_grid_effect_designs_its_own_cell(self, tmp_path):
+        # theta_star 1e-13 away from the grid effect 1.645 is not that effect
+        out = tmp_path / "m"
+        code = main(["multiround", "--out", str(out), "--reps", "50", "--param", "caps=1",
+                     "--param", "levels=5", "--param", "horizon=2",
+                     "--param", "theta_grid=1.645", "--param", "theta_star=1.6450000000001"])
+        assert code == EXIT_OK
+        section_2 = (out / "multiround_policy.txt").read_text().split("\n\n")[1]
+        thetas = [float(line.split(",")[1]) for line in section_2.splitlines()[1:]]
+        assert thetas == [1.6450000000001] * 2
+
     def test_five_data_agent_reaches_cap_at_focal_effect(self, tmp_path):
         out = tmp_path / "m"
         config = resolve_config(
@@ -783,6 +795,34 @@ class TestMultiroundCommonRandomNumbers:
         _, rows = read_csv(tmp_path / "m" / "multiround_terminal.csv")
         one = [r[1:] for r in rows if r[0] == "one_round"]
         assert one and one == [r[1:] for r in rows if r[0] == "five_data"]
+
+
+def multiround_at_scale(out, k: int) -> dict:
+    """Summary of a multiround run with caps (2^k, 5 * 2^k) and cost 0.1 * 2^k."""
+    s = math.ldexp(1.0, k)
+    overrides = {"levels": "50", "reps": "4000", "caps": f"{s!r},{5 * s!r}", "cost": repr(0.1 * s)}
+    return run_multiround(resolve_config("multiround", out, overrides=overrides)).summary
+
+
+@pytest.fixture(scope="module")
+def unit_scale_summary(tmp_path_factory):
+    return multiround_at_scale(tmp_path_factory.mktemp("unit") / "m", 0)
+
+
+# Money scales by 2^k with the cap and the cost, and every Monte Carlo mean and
+# SE must follow it exactly; shares, rounds and effects must not move.
+@pytest.mark.parametrize("k", [-1000, -60, 1, 40, 400])
+def test_multiround_outputs_scale_exactly_with_cap_and_cost(tmp_path, unit_scale_summary, k):
+    got, want, s = multiround_at_scale(tmp_path / "m", k), unit_scale_summary, math.ldexp(1.0, k)
+    assert list(got["profit_curves"]) == [cap * s for cap in want["profit_curves"]]
+    for rows, unit_rows in zip(got["profit_curves"].values(), want["profit_curves"].values()):
+        assert [row[0] for row in rows] == [row[0] for row in unit_rows]
+        assert [row[1:] for row in rows] == [tuple(v * s for v in row[1:]) for row in unit_rows]
+    star, unit_star = got["at_theta_star"], want["at_theta_star"]
+    for key in ("p_terminal_cap", "mean_rounds"):
+        assert star[key] == unit_star[key]
+    for key in ("mean_total_cost", "mean_profit_multi", "mean_profit_five_data"):
+        assert star[key] == unit_star[key] * s
 
 
 class TestBestResponseCommand:

@@ -39,7 +39,7 @@ def inside_scalar(spec: Key) -> st.SearchStrategy:
     if spec.choices:
         return st.sampled_from(spec.choices)
     if spec.kind == "int":
-        return st.integers(min_value=spec.at_least)
+        return st.integers(spec.at_least, None if spec.below is None else spec.below - 1)
     return st.floats(
         min_value=spec.above if spec.above is not None else spec.at_least,
         max_value=spec.below,
@@ -73,7 +73,9 @@ def outside_scalar(spec: Key) -> st.SearchStrategy:
         below = st.integers(max_value=edge) if spec.kind == "int" else st.floats(max_value=edge, **FINITE)
         options += [st.sampled_from([v for v in (edge, 0, -1) if v <= edge]), below]
     if spec.below is not None:
-        options += [st.just(spec.below), st.floats(min_value=spec.below, **FINITE)]
+        above = (st.integers(min_value=spec.below) if spec.kind == "int"
+                 else st.floats(min_value=spec.below, **FINITE))
+        options += [st.just(spec.below), above]
     return st.one_of(options)
 
 
@@ -156,6 +158,8 @@ def test_every_domain_has_an_edge_case():
         ("fda_audit", "band", "-1"),
         ("fda_audit", "cost", "-5"),
         ("fda_audit", "cost", "400"),
+        # a horizon too large to convert to a double
+        pytest.param("multiround", "horizon", str(10**400), id="multiround-horizon-10**400"),
     ],
 )
 def test_cli_rejects_before_writing(tmp_path, capsys, experiment, key, value):
@@ -209,6 +213,20 @@ def test_cli_rejects_evalue_overflow_before_writing(tmp_path, capsys, theta1):
     assert not out.exists()
 
 
+# The smallest cap over levels must be a normal double: the DP loses digits on
+# subnormal level values, while a tiny normal spacing still runs.
+@pytest.mark.parametrize("caps, code", [("1e-315", EXIT_CONFIG), ("1e-300", 0)])
+def test_multiround_level_spacing_must_be_normal(tmp_path, capsys, caps, code):
+    out = tmp_path / "out"
+    argv = ["multiround", "--out", str(out), "--reps", "10", "--param", f"caps={caps}",
+            "--param", f"cost={float(caps) / 10!r}", "--param", "horizon=2",
+            "--param", "levels=4"]
+    assert main(argv) == code
+    if code == EXIT_CONFIG:
+        assert "bad values for 'caps' and 'levels'" in capsys.readouterr().err
+    assert out.exists() == (code == 0)
+
+
 # Size keys drawn small, so that a search over every key stays fast.
 SMALL = {"grid_points": 5, "n_max": 10, "reps": 10, "paths_out": 3, "horizon": 3, "levels": 6}
 
@@ -254,3 +272,14 @@ def test_in_domain_run_succeeds_or_names_a_key(experiment, data):
             assert not out.exists()
         else:
             assert code == 0
+            # and every number written is finite
+            for path in out.glob("*.csv"):
+                for field in path.read_text().replace("\n", ",").split(","):
+                    try:
+                        value = float(field)
+                    except ValueError:
+                        continue
+                    assert math.isfinite(value), (path.name, field)
+            for path in out.glob("*.svg"):
+                text = path.read_text()
+                assert "nan" not in text and "inf" not in text, path.name

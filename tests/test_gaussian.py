@@ -13,7 +13,7 @@ from evcontracts import (
     upper_tail,
     upper_tail_inverse,
 )
-from evcontracts.gaussian import upper_tail_np
+from evcontracts.gaussian import mean_and_se, upper_tail_np
 
 
 def quadrature_tail(x: float) -> float:
@@ -179,6 +179,44 @@ class TestSampling:
     def test_negative_seed_accepted(self):
         out = sample_normal(GaussianModel(0.0), RandomStream(-3, 0), 5)
         assert out.shape == (5,)
+
+
+class TestMeanAndSe:
+    @pytest.mark.parametrize("shape", [(2,), (1000,), (3, 1), (500, 7)])
+    @pytest.mark.parametrize("loc, scale", [(0.0, 1.0), (3.0, 0.01), (-2e5, 7e3)])
+    def test_equals_the_numpy_formula_bit_for_bit(self, shape, loc, scale):
+        x = np.random.default_rng(11).normal(loc, scale, shape)
+        n = shape[0]
+        want = (x.mean(axis=0), x.std(axis=0, ddof=1) / math.sqrt(n))
+        got = mean_and_se(x.copy())
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("k", [-1000, -1, 1, 1000])
+    @pytest.mark.parametrize("shape", [(1000,), (400, 3)])
+    def test_scales_exactly_by_powers_of_two(self, k, shape):
+        x = np.random.default_rng(13).normal(0.5, 1.0, shape)
+        scaled = np.ldexp(x, k)
+        assert np.all(np.abs(scaled) >= np.finfo(float).tiny)  # normal inputs
+        mean, se = mean_and_se(x.copy())
+        got_mean, got_se = mean_and_se(scaled)
+        assert np.array_equal(got_mean, np.ldexp(mean, k))
+        assert np.array_equal(got_se, np.ldexp(se, k))
+        assert np.all(got_se > 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_input_gives_non_finite_results(self, bad):
+        x = np.random.default_rng(17).normal(0.0, 1.0, (50, 2))
+        x[7, 0] = bad
+        with np.errstate(invalid="ignore"):
+            mean, se = mean_and_se(x)
+        assert not np.isfinite(mean[0]) and not np.isfinite(se[0])
+        assert np.isfinite(mean[1])
+
+    def test_overwrites_its_input(self):
+        x = np.random.default_rng(19).normal(0.0, 1.0, (20, 3))
+        before = x.copy()
+        mean_and_se(x)
+        assert not np.array_equal(x, before)
 
 
 class TestGaussianModel:

@@ -248,11 +248,17 @@ class TestSupermartingale:
             supermartingale_check(episodes, POLICY.costs)
 
     def test_cost_ledger_validation(self):
-        episodes = simulate_policy(POLICY, 0.0, 100, RandomStream(73, 0))
-        with pytest.raises(ValueError):
-            supermartingale_check(episodes, [0.2] * 4)
-        with pytest.raises(ValueError):
-            supermartingale_check(episodes, [0.1] * 3)
+        # at cap 1e-12 every cost is below 1e-12, so an absolute ledger
+        # tolerance of that size would accept the doubled costs
+        for cap in (1.0, 1e-12):
+            policy = backward_induction(4, 0.1 * cap, 1.2, LicenseGrid.from_cap(cap, 50))
+            episodes = simulate_policy(policy, 0.0, 1000, RandomStream(73, 0))
+            assert episodes.indicators.any()
+            assert supermartingale_check(episodes, [0.1 * cap] * 4).passes
+            with pytest.raises(ValueError):
+                supermartingale_check(episodes, [0.2 * cap] * 4)
+            with pytest.raises(ValueError):
+                supermartingale_check(episodes, [0.1 * cap] * 3)
 
 
 class TestValidation:
