@@ -1,10 +1,10 @@
 """Command-line experiment driver.
 
 Subcommands: welfare, fda-audit, evalue-growth, multiround, best-response.
-Every run writes CSVs, SVG plots, and a manifest echoing the resolved
-configuration into --out. Exit codes: 0 success, 2 configuration error,
-3 reference deviation (the default audit table must match its committed
-verdicts).
+Every run writes CSVs, SVG plots, and a manifest, a config file that
+--config replays, into --out. Exit codes: 0 success, 2 configuration error
+naming the key, 3 reference deviation (the default audit table must match its
+committed verdicts); any other exception is a defect and shows a traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .experiments import (
     ReferenceDeviation,
     RUNNERS,
     SCHEMAS,
+    parse_assignment,
     parse_config_file,
     resolve_config,
 )
@@ -55,12 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     experiment = args.command.replace("-", "_")
     try:
         file_values = parse_config_file(args.config) if args.config else {}
-        overrides: dict[str, str] = {}
-        for item in args.param:
-            if "=" not in item:
-                raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
-            key, _, value = item.partition("=")
-            overrides[key.strip()] = value.strip()
+        overrides = dict(parse_assignment(item, "--param") for item in args.param)
         if args.seed is not None:
             overrides["seed"] = str(args.seed)
         if getattr(args, "reps", None) is not None:
@@ -70,9 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     except ReferenceDeviation as err:
         print(f"reference deviation: {err}", file=sys.stderr)
         return EXIT_DEVIATION
-    except ValueError as err:
-        # ConfigError is a ValueError; domain validation errors from library
-        # types (bad ratios, caps, grids) are configuration mistakes too
+    except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     for path in result.removed:

@@ -5,10 +5,11 @@ overrides) and computes all of its outputs first. It then hands them to
 ``_write_outputs``, the only code here that touches the filesystem: it makes
 the output directory, removes the config-dependent outputs an earlier run of
 the same experiment left there, writes the CSVs and static SVG plots in
-order, and writes a manifest echoing the resolved configuration last, so any
-run can be replayed. A rejected config (exit 2) or a reference deviation
-(exit 3) is raised before that call and leaves no output directory. All
-randomness flows through seeded streams: same config, same bytes.
+order, and writes the manifest last: a config file whose values read back
+exactly, so ``--config <out>/manifest.txt`` replays the run. A rejected
+config (exit 2) or a reference deviation (exit 3) is raised before that call
+and leaves no output directory. All randomness flows through seeded streams:
+same config, same bytes.
 """
 
 from __future__ import annotations
@@ -61,15 +62,11 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(_parse_float(tok) for tok in str(text).split(",") if tok.strip())
-
-
 _PARSERS: dict[str, Callable] = {
     "int": int,
     "float": _parse_float,
     "str": str,
-    "floats": _parse_float_list,
+    "floats": lambda text: tuple(map(_parse_float, text.split(","))),
 }
 
 
@@ -92,8 +89,8 @@ _SEVERITIES = {"high": HIGH_SEVERITY, "low": LOW_SEVERITY}
 class Key:
     """One config key: its parser kind, its default and its domain.
 
-    The numeric bounds apply to every element of a ``floats`` list, and a
-    ``floats`` list must name at least one value.
+    The numeric bounds apply to every element of a ``floats`` list; its
+    parser already rejects an empty element, so an empty list cannot occur.
     """
 
     kind: str
@@ -107,8 +104,6 @@ class Key:
     def violation(self, value) -> str | None:
         """Why ``value`` lies outside the domain, or None if it lies inside."""
         items, each = (value, "each ") if self.kind == "floats" else ((value,), "")
-        if not items:
-            return "must list at least one value"
         if self.unique and len(set(items)) != len(items):
             return "lists a value more than once"
         if self.choices and value not in self.choices:
@@ -123,11 +118,12 @@ class Key:
         return None
 
 
-# Allowed keys, defaults and domains per experiment. "seed" is common to all
-# so that every manifest records one even for closed-form runs.
+# Allowed keys, defaults and domains per experiment. Every manifest records a
+# seed, even for closed-form runs; RandomStream keys each signed 64-bit seed apart.
+_SEED = Key("int", DEFAULT_SEED, at_least=-(2**63), below=2**63)
 SCHEMAS: dict[str, dict[str, Key]] = {
     "welfare": {
-        "seed": Key("int", DEFAULT_SEED),
+        "seed": _SEED,
         "grid_points": Key("int", 101, at_least=1),
         "theta1": Key("float", 1.0, above=0.0),
         "cost": Key("float", 1.0, above=0.0),
@@ -138,7 +134,7 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "severity_b": Key("str", "low", choices=tuple(_SEVERITIES)),
     },
     "evalue_growth": {
-        "seed": Key("int", DEFAULT_SEED),
+        "seed": _SEED,
         # beyond 2**52 the spacing of doubles near theta1 reaches 1, so a
         # draw's unit noise is lost to rounding (README, Configuration)
         "theta1": Key("float", 0.2, above=-(2.0**52), below=2.0**52),
@@ -147,27 +143,26 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "paths_out": Key("int", 10, at_least=0),
     },
     "fda_audit": {
-        "seed": Key("int", DEFAULT_SEED),
+        "seed": _SEED,
         # money is counted in thousands, and a cost up to $500 rounds to 0 of them
         "cost": Key("float", float(DEFAULT_TRIAL_COST), above=500.0),
         "profits": Key("floats", tuple(map(float, DEFAULT_PROFITS)), above=0.0),
         "band": Key("float", DEFAULT_BAND, at_least=0.0),
     },
     "multiround": {
-        "seed": Key("int", DEFAULT_SEED),
+        "seed": _SEED,
         "horizon": Key("int", 5, at_least=1, below=2**53),  # a double holds every such count
         "cost": Key("float", 0.1, above=0.0),
         "levels": Key("int", 100, at_least=1),
-        # a repeated cap or effect would solve and write the same cell twice
-        "caps": Key("floats", (1.0, 5.0), above=0.0, unique=True),
-        # effects are draw means, bounded as evalue_growth's theta1 is
+        "caps": Key("floats", (1.0, 5.0), above=0.0),  # run_multiround checks file names
+        # effects are draw means, bounded as evalue_growth's theta1 is, and unique
         "theta_grid": Key("floats", (0.5, 1.0, 1.645, 2.5), above=-(2.0**52), below=2.0**52,
                           unique=True),
         "theta_star": Key("float", 1.645, above=0.0, below=2.0**52),
         "reps": Key("int", 10_000, at_least=2),
     },
     "best_response": {
-        "seed": Key("int", DEFAULT_SEED),
+        "seed": _SEED,
         "cap": Key("float", 1.0, above=0.0),
         "cost_ratios": Key("floats", (0.002, 0.05, 0.2), above=0.0, below=1.0),
         # effects above the null
@@ -176,9 +171,17 @@ SCHEMAS: dict[str, dict[str, Key]] = {
 }
 
 
+def parse_assignment(text: str, where: str) -> tuple[str, str]:
+    """Key and value of one ``key = value``; ``where`` prefixes the error."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise ConfigError(f"{where}: expected 'key = value', got {text!r}")
+    return key.strip(), value.strip()
+
+
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """Flat ``key = value`` lines of UTF-8 text; '#' starts a comment and a
-    key may be set only once."""
+    key may be set only once. A manifest is such a file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
@@ -189,13 +192,10 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
+        key, value = parse_assignment(line, f"{path}:{lineno}")
         if key in out:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        out[key] = value.strip()
+        out[key] = value
     return out
 
 
@@ -242,13 +242,16 @@ def resolve_config(
 
 
 def _cell(v) -> str:
-    """One CSV or manifest field: 12 significant digits for a float, str
-    for anything else (bools, integers, labels, verdicts)."""
+    """One CSV field: 12 significant digits for a float, str for anything
+    else (bools, integers, labels, verdicts)."""
     return f"{v:.12g}" if isinstance(v, (float, np.floating)) else str(v)
 
 
 def _format_value(value) -> str:
-    return ",".join(map(_cell, value)) if isinstance(value, tuple) else _cell(value)
+    """One manifest value, spelled so that ``_PARSERS`` reads it back exactly."""
+    if isinstance(value, tuple):
+        return ",".join(map(repr, value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -287,7 +290,7 @@ def _write_outputs(config: ExperimentConfig, outputs: list, summary: dict) -> Ru
     )
     for path in removed:
         path.unlink()
-    manifest = f"experiment = {config.experiment}\n" + "".join(
+    manifest = f"# experiment = {config.experiment}\n" + "".join(
         f"{key} = {_format_value(config[key])}\n" for key in sorted(config.parameters)
     )
     outputs = outputs + [("manifest.txt", Path.write_text, manifest, "utf-8")]
@@ -497,6 +500,9 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
     if not math.isfinite(span * span):
         raise ConfigError(f"bad values for 'caps', 'cost' and 'horizon': the profit range "
                           f"{max(caps)!r} + {T} * {cost!r} overflows when squared")
+    if len({f"{cap:g}" for cap in caps}) != len(caps):
+        raise ConfigError(f"bad value for 'caps': {caps!r} (two caps share the "
+                          f"6-digit spelling that names their output files)")
 
     cells = [(cap, theta1) for cap in caps for theta1 in config["theta_grid"]]
     n_grid = len(cells)

@@ -96,6 +96,9 @@ class TestConfigParsing:
             ("fda-audit", "profits", "-1e9"),
             ("fda-audit", "profits", ","),
             ("multiround", "theta_grid", ","),
+            # an empty element is not a number, wherever it stands
+            ("multiround", "theta_grid", "1,,2"),
+            ("multiround", "caps", "1,5,"),
             ("multiround", "caps", "1,-1"),
             ("multiround", "cost", "-0.1"),
             ("welfare", "ratio_b", "0.5"),
@@ -124,6 +127,21 @@ class TestConfigParsing:
         cfg.write_text("seed = 1\n# again\nseed = 2\n")
         with pytest.raises(ConfigError, match=r"run\.cfg:3: duplicate key 'seed'"):
             parse_config_file(cfg)
+
+    def test_param_without_equals_exits_config(self, tmp_path, capsys):
+        out = tmp_path / "w"
+        assert main(["welfare", "--out", str(out), "--param", "seed"]) == EXIT_CONFIG
+        assert "--param: expected 'key = value', got 'seed'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_only_a_config_error_exits_2(self, tmp_path, monkeypatch):
+        # any other exception reaching main is a defect and must show a traceback
+        def broken(config):
+            raise ValueError("not a config error")
+
+        monkeypatch.setitem(experiments.RUNNERS, "welfare", broken)
+        with pytest.raises(ValueError, match="not a config error"):
+            main(["welfare", "--out", str(tmp_path / "w")])
 
     def test_repeated_param_override_last_wins(self, tmp_path):
         out = tmp_path / "w"
@@ -238,14 +256,6 @@ class TestWelfareCommand:
         # cap below cost fails contract validation, not a traceback
         code = main(["welfare", "--out", str(tmp_path), "--param", "ratio_a=0.5"])
         assert code == EXIT_CONFIG
-
-    def test_config_file_roundtrip(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("grid_points = 5\ntheta1 = 0.8\n")
-        out = tmp_path / "w"
-        assert main(["welfare", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
-        manifest = (out / "manifest.txt").read_text()
-        assert "theta1 = 0.8" in manifest
 
     def test_missing_config_file(self, tmp_path):
         code = main(["welfare", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)])
@@ -435,9 +445,13 @@ class TestMultiroundCommand:
         code = main(["multiround", "--out", str(tmp_path), "--param", "caps="])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("key, value", (("caps", "1,5,1"), ("theta_grid", "1.645,1.645")))
+    @pytest.mark.parametrize(
+        "key, value",
+        (("caps", "1,5,1"), ("caps", "1,1.0000001"), ("theta_grid", "1.645,1.645")),
+    )
     def test_repeated_grid_value_rejected(self, tmp_path, capsys, key, value):
-        # a repeat would solve and write the same cell twice
+        # a repeat would solve and write the same cell twice, and two caps with
+        # one %g spelling (1 and 1.0000001) would write one curve file twice
         code = main(
             ["multiround", "--out", str(tmp_path), "--reps", "10", "--param", "levels=4",
              "--param", f"{key}={value}"]
@@ -597,6 +611,8 @@ class TestMultiroundCommand:
 # welfare_panel_b.csv digest was re-recorded with Python 3.11.7 when the
 # quantile moved to statistics.NormalDist, whose result at p = 1/50 is one ulp
 # from scipy's and moves two cells in the 12th digit; another Python may too.
+# The manifest digests were re-recorded when the manifest became a config file
+# that spells each float with repr.
 PINNED_RUNS = {
     "welfare": ([], {
         "welfare_panel_a.csv":
@@ -608,19 +624,19 @@ PINNED_RUNS = {
         "welfare_panel_b.svg":
             "457fdbd7412302689ffd37c507cf8e20dbf41b7e92f2371e0f3f9703abec38c6",
         "manifest.txt":
-            "b68e29b75d6731fe0ef3de316bf8e385d3ba8c8b9487db14b0d14f291c586f6f",
+            "7edd93cb46ebb5fae55402bb4775ba0e99179c80b71fbb26cb12c29c4f5bfb9f",
     }),
     "fda-audit": ([], {
         "fda_audit.csv":
             "621af056428dd9b1066f3aaf8112871e58d23329bbc121e8ad3395a6be8fbc7e",
         "manifest.txt":
-            "629510de71ead3ceb2b1ad513957310e1489eac0d8f5c79e104ff1fc662b56c6",
+            "5085ba932341ab65cb7801fb8d98da8b56a3d35ee97e25a9688eac72d7690315",
     }),
     "best-response": ([], {
         "best_response.csv":
             "9bb3a5be7227f18a8fa2d1dccbd0d13bd90bc34f8ada3b8481b8341652218246",
         "manifest.txt":
-            "d992987c7a2fbb3628f61578d94f83607986162037c4177b50ca04b6389de61c",
+            "827bb6366720e693bc6012922f9d8136cffc691fc0e918acbfe27b4f79e224cf",
     }),
     "evalue-growth": (["--param", "n_max=40", "--reps", "200"], {
         "evalue_growth.csv":
@@ -630,7 +646,7 @@ PINNED_RUNS = {
         "evalue_growth.svg":
             "16aaa2fd9f4c5d4dcf333bd9c4a3ea0b5f36fffe623d3d917d595e203830bf9a",
         "manifest.txt":
-            "ecb8cc633c5ecdf4479324d51f089614bbf7605ad5d928665754d44b97f756fc",
+            "2cd61aa2fd75cea6fea8b142423ea8b49850291f98f2b6a9e3dddf546aea5054",
     }),
 }
 
@@ -648,6 +664,39 @@ def test_output_bytes_and_wrote_lines_are_pinned(tmp_path, capsys, command):
     assert {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in digests
     } == digests
+
+
+# Small runs with floats that 12 significant digits would misspell, each value
+# written as the manifest spells it: theta_star is 1e-13 off the grid effect, so
+# misspelling it would merge the focal cell into the grid.
+REPLAYED_RUNS = {
+    "welfare": ["grid_points=5", "theta1=0.1", "cost=1e-301", "ratio_a=5.0000000000001"],
+    "evalue-growth": ["n_max=5", "reps=10", "paths_out=2", "theta1=0.2000000000001"],
+    "fda-audit": ["cost=50000000.0000001", "profits=1000000000.0,10000000000.001"],
+    "multiround": ["caps=1.0,5e-300", "cost=1e-301", "levels=5", "horizon=2", "reps=50",
+                   "theta_grid=1.645", "theta_star=1.6450000000001"],
+    "best-response": ["cap=1e-300", "cost_ratios=0.05", "theta_grid=1.6450000000001"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPLAYED_RUNS))
+def test_config_file_roundtrip(tmp_path, capsys, command):
+    # The manifest is a config file: passing it back replays the run byte for
+    # byte, manifest included.
+    first, replay = tmp_path / "first", tmp_path / "replay"
+    argv = [command, "--out", str(first)]
+    for param in REPLAYED_RUNS[command]:
+        argv += ["--param", param]
+    assert main(argv) == EXIT_OK
+    manifest = (first / "manifest.txt").read_text()
+    for param in REPLAYED_RUNS[command]:
+        assert param.replace("=", " = ") + "\n" in manifest
+    argv = [command, "--config", str(first / "manifest.txt"), "--out", str(replay)]
+    assert main(argv) == EXIT_OK
+    names = sorted(path.name for path in first.iterdir())
+    assert sorted(path.name for path in replay.iterdir()) == names
+    for name in names:
+        assert (replay / name).read_bytes() == (first / name).read_bytes(), name
 
 
 class TestRerunIntoOneDirectory:

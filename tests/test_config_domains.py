@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from evcontracts.cli import EXIT_CONFIG, main
-from evcontracts.experiments import SCHEMAS, ConfigError, Key, resolve_config
+from evcontracts.experiments import (
+    _PARSERS,
+    SCHEMAS,
+    ConfigError,
+    Key,
+    _format_value,
+    parse_assignment,
+    resolve_config,
+)
 
 FINITE = {"allow_nan": False, "allow_infinity": False}
 
@@ -119,6 +127,7 @@ def test_value_inside_domain_is_accepted(experiment, key, data):
 
 # One value just outside each key's domain, at the bound where there is one.
 EDGE_CASES = [
+    ("welfare", "seed", str(2**63)),
     ("welfare", "grid_points", "0"),
     ("welfare", "theta1", "0"),
     ("welfare", "cost", "0"),
@@ -126,13 +135,16 @@ EDGE_CASES = [
     ("welfare", "ratio_b", "1"),
     ("welfare", "severity_a", "medium"),
     ("welfare", "severity_b", "medium"),
+    ("evalue_growth", "seed", str(-(2**63) - 1)),
     ("evalue_growth", "theta1", "4503599627370496"),
     ("evalue_growth", "n_max", "0"),
     ("evalue_growth", "reps", "1"),
     ("evalue_growth", "paths_out", "-1"),
+    ("fda_audit", "seed", str(2**63)),
     ("fda_audit", "cost", "500"),
     ("fda_audit", "profits", "1e9,0"),
     ("fda_audit", "band", "-5e-324"),
+    ("multiround", "seed", str(-(2**63) - 1)),
     ("multiround", "horizon", "0"),
     ("multiround", "cost", "0"),
     ("multiround", "levels", "0"),
@@ -140,6 +152,7 @@ EDGE_CASES = [
     ("multiround", "theta_grid", "1,1"),
     ("multiround", "theta_star", "0"),
     ("multiround", "reps", "1"),
+    ("best_response", "seed", str(2**63)),
     ("best_response", "cap", "0"),
     ("best_response", "cost_ratios", "0.5,1"),
     ("best_response", "theta_grid", "0.5,0"),
@@ -148,6 +161,32 @@ EDGE_CASES = [
 
 def test_every_domain_has_an_edge_case():
     assert sorted((e, k) for e, k, _ in EDGE_CASES) == sorted(DOMAIN_KEYS)
+
+
+# The doubles hardest to spell: subnormals, both zeros and the largest
+# magnitudes, beside any finite double.
+EXACT_FLOATS = st.one_of(
+    st.sampled_from([5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(**FINITE),
+)
+VALUES_BY_KIND = {
+    "int": st.integers(),
+    "float": EXACT_FLOATS,
+    "floats": st.lists(EXACT_FLOATS, min_size=1, max_size=4).map(tuple),
+    "str": st.sampled_from(sorted({c for e, k in ALL_KEYS for c in SCHEMAS[e][k].choices})),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_PARSERS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_manifest_spelling_reads_back_exactly(kind, data):
+    # the manifest writer is the inverse of the parsers, to the bit and sign
+    value = data.draw(VALUES_BY_KIND[kind])
+    key, text = parse_assignment(f"key = {_format_value(value)}", "manifest")
+    parsed = _PARSERS[kind](text)
+    assert key == "key" and type(parsed) is type(value) and repr(parsed) == repr(value)
 
 
 @pytest.mark.parametrize(
@@ -255,8 +294,9 @@ def in_domain_run(draw, experiment: str) -> dict[str, str]:
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_in_domain_run_succeeds_or_names_a_key(experiment, data):
-    # Either the run succeeds, or it exits 2 before writing anything, with a
-    # message that quotes one of the experiment's keys. An exception, and a
+    # Either the run succeeds, writing each file once, and its manifest replays
+    # it byte for byte, or it exits 2 before writing anything, with a message
+    # that quotes one of the experiment's keys. An exception, and a
     # RuntimeWarning (an error under this suite's filter), both fail.
     overrides = data.draw(in_domain_run(experiment))
     argv = [experiment.replace("_", "-")]
@@ -264,8 +304,8 @@ def test_in_domain_run_succeeds_or_names_a_key(experiment, data):
         argv += ["--param", f"{key}={value}"]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        stderr = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv + ["--out", str(out)])
         if code == EXIT_CONFIG:
             assert any(repr(key) in stderr.getvalue() for key in SCHEMAS[experiment])
@@ -283,3 +323,11 @@ def test_in_domain_run_succeeds_or_names_a_key(experiment, data):
             for path in out.glob("*.svg"):
                 text = path.read_text()
                 assert "nan" not in text and "inf" not in text, path.name
+            wrote = [line for line in stdout.getvalue().splitlines() if line.startswith("wrote ")]
+            assert len(set(wrote)) == len(wrote)
+            replay = Path(tmp) / "replay"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([argv[0], "--config", str(out / "manifest.txt"), "--out", str(replay)])
+            assert code == 0
+            written = {path.name: path.read_bytes() for path in out.iterdir()}
+            assert {path.name: path.read_bytes() for path in replay.iterdir()} == written
