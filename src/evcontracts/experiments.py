@@ -99,13 +99,10 @@ class Key:
     at_least: float | None = None  # inclusive lower bound
     below: float | None = None  # strict upper bound
     choices: tuple[str, ...] = ()
-    unique: bool = False
 
     def violation(self, value) -> str | None:
-        """Why ``value`` lies outside the domain, or None if it lies inside."""
+        """Why ``value`` lies outside the domain (its bound spelled exactly), or None."""
         items, each = (value, "each ") if self.kind == "floats" else ((value,), "")
-        if self.unique and len(set(items)) != len(items):
-            return "lists a value more than once"
         if self.choices and value not in self.choices:
             return f"must be one of {', '.join(self.choices)}"
         for op, bound, holds in (
@@ -114,7 +111,8 @@ class Key:
             ("<", self.below, operator.lt),
         ):
             if bound is not None and not all(holds(x, bound) for x in items):
-                return f"{each}must be {op} {bound:g}"
+                exact = isinstance(bound, float) and float(f"{bound:g}") == bound
+                return f"{each}must be {op} {format(bound, 'g') if exact else repr(bound)}"
         return None
 
 
@@ -155,9 +153,8 @@ SCHEMAS: dict[str, dict[str, Key]] = {
         "cost": Key("float", 0.1, above=0.0),
         "levels": Key("int", 100, at_least=1),
         "caps": Key("floats", (1.0, 5.0), above=0.0),  # run_multiround checks file names
-        # effects are draw means, bounded as evalue_growth's theta1 is, and unique
-        "theta_grid": Key("floats", (0.5, 1.0, 1.645, 2.5), above=-(2.0**52), below=2.0**52,
-                          unique=True),
+        # effects are draw means, bounded as evalue_growth's theta1 is; distinct in 12 digits
+        "theta_grid": Key("floats", (0.5, 1.0, 1.645, 2.5), above=-(2.0**52), below=2.0**52),
         "theta_star": Key("float", 1.645, above=0.0, below=2.0**52),
         "reps": Key("int", 10_000, at_least=2),
     },
@@ -500,9 +497,11 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
     if not math.isfinite(span * span):
         raise ConfigError(f"bad values for 'caps', 'cost' and 'horizon': the profit range "
                           f"{max(caps)!r} + {T} * {cost!r} overflows when squared")
-    if len({f"{cap:g}" for cap in caps}) != len(caps):
-        raise ConfigError(f"bad value for 'caps': {caps!r} (two caps share the "
-                          f"6-digit spelling that names their output files)")
+    # a cap's %g spelling names its curve files, an effect's 12 digits (0 for -0) its rows
+    for key, spell in (("caps", "{:g}".format), ("theta_grid", lambda t: _cell(t + 0.0))):
+        if len(set(map(spell, config[key]))) != len(config[key]):
+            raise ConfigError(f"bad value for {key!r}: {config[key]!r} (two values share "
+                              f"the spelling that names their output files or curve rows)")
 
     cells = [(cap, theta1) for cap in caps for theta1 in config["theta_grid"]]
     n_grid = len(cells)

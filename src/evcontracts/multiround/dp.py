@@ -125,8 +125,8 @@ def backward_induction(
 
     The per-round optimization uses the analytic Gaussian-tail optimizer:
     the concave nondecreasing hull of the next round's value table is built
-    once per round and the budgets of all levels are solved against it
-    together, in one bracketed Newton pass.
+    once per round and all levels are solved against it in two dense passes,
+    one certifying their fitted multipliers and one scoring their updates.
     """
     if not theta1 > 0.0:
         raise ValueError(

@@ -11,13 +11,13 @@ of z with breakpoints
 
 one per positive-slope knot, and all the relevant expectations reduce to
 normal tails at the y_k (shifted by theta under the alternative). The budget
-is strictly decreasing in u = log lambda with the closed-form derivative
--sum_k inc_k * phi(y_k) / theta, so the multiplier is found by a bracketed
-Newton iteration in u.
+is smooth and strictly decreasing in u = log lambda; each multiplier is the
+root of a Chebyshev interpolant of the spend on a fixed cell of u, certified
+by one exact pass, with a bracketed Newton iteration for any that misses.
 
 Every function here takes the value function as a PLCValue. The dynamic
 program builds that hull once per round and solves every grid level of the
-round against it in one vectorized pass (optimal_steps). The gaps between
+round against it together (optimal_steps). The gaps between
 breakpoints do not depend on lambda, so the round's updates are kept as one
 StepBatch: the shared step values and log-slopes plus one log-multiplier per
 level, from which a LicenseFn step function of z is built only on demand.
@@ -27,6 +27,7 @@ the multiplier solve, scored under the alternative and stored as a step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from ..gaussian import upper_tail_inverse, upper_tail_np
 from ..licenses import LicenseFn
-from .values import PLCValue
+from .values import PLCValue, _read_only
 
 LAMBDA_REL_TOL = 1e-12
 # solve_lambda tabulates the spend at log lambda = k * _LATTICE_STEP +
@@ -42,6 +43,9 @@ LAMBDA_REL_TOL = 1e-12
 _LATTICE_ORIGIN = math.log(1e-6)
 _LATTICE_STEP = (math.log(1e6) - math.log(1e-6)) / 64
 _MAX_ITERATIONS = 200
+# _fitted_roots: the widest fit cell in breakpoint units, and the most nodes;
+# below theta 0.09 a lattice cell needs more, and the fit only starts Newton
+_FIT_WIDTH, _MAX_NODES, _FIT_STEPS = 1.5, 32, 2
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -104,12 +108,12 @@ def _breakpoints(log_slopes, u, theta: float):
         return theta / 2.0 - (log_slopes - u) / theta
 
 
-def _spend(
-    increments: np.ndarray, y: np.ndarray, theta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Null expectation of each row's update, sum_k inc_k * P_0(z >= y_k),
-    and its derivative in log lambda, -sum_k inc_k * phi(y_k) / theta."""
+def _spend(increments: np.ndarray, y: np.ndarray, theta: float | None):
+    """Null expectation sum_k inc_k * P_0(z >= y_k) of each row's update and its
+    derivative in log lambda, -sum_k inc_k * phi(y_k) / theta (None for theta None)."""
     spend = (increments * upper_tail_np(y)).sum(axis=1)
+    if theta is None:
+        return spend, None
     # y * y overflows only where phi(y) is 0 anyway
     with np.errstate(over="ignore"):
         slope = (increments * np.exp(-0.5 * y * y)).sum(axis=1) / (-theta * _SQRT_2PI)
@@ -132,7 +136,7 @@ def null_expectation_of_update(v: PLCValue, lam: float, theta: float) -> float:
     if knots.size == 0:
         return 0.0
     y = _breakpoints(np.log(slopes), np.array([[math.log(lam)]]), theta)
-    spend, _ = _spend(np.diff(knots, prepend=0.0), y, theta)
+    spend, _ = _spend(np.diff(knots, prepend=0.0), y, None)
     return float(spend[0])
 
 
@@ -143,34 +147,77 @@ def _tail_quantile(p: float) -> float:
     return math.inf if p <= 0.0 else -math.inf
 
 
+@functools.cache
+def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Chebyshev-Lobatto points, 1 down to -1, and the (n, 3, n) map from
+    values there to the coefficients of the interpolant and its two derivatives."""
+    k = np.arange(n)
+    ends = np.where(k % (n - 1) == 0, 0.5, 1.0)
+    w = np.cos(np.pi / (n - 1) * np.outer(k, k)) * ends * ends[:, None] * (2.0 / (n - 1))
+    # a derivative's c'_k sums 2 j c_j over j > k with j - k odd, halved at k = 0
+    d = np.where((k > k[:, None]) & ((k - k[:, None]) % 2 == 1), 2.0 * k, 0.0) * ends[:, None]
+    dw = (d[:, :, None] * w).sum(axis=1)
+    w = _read_only(np.stack([w, dw, (d[:, :, None] * dw).sum(axis=1)], 1))  # cached, so read-only
+    return _read_only(np.cos(np.pi / (n - 1) * k)), w
+
+
+def _fitted_roots(share, theta: float, cell: np.ndarray, log_shares: np.ndarray):
+    """Roots of log share(u) = log_shares on the fit cells holding lattice cells
+    ``cell`` (left ends' lattice indices). A fit cell joins the m >= 1 lattice
+    cells that keep its width in breakpoint units, w = m * _LATTICE_STEP /
+    theta, within _FIT_WIDTH. Its interpolant of log share at 10 + 4.5 w (at
+    most _MAX_NODES) Chebyshev-Lobatto nodes takes coefficients by elementwise
+    products and sums, no BLAS: a root depends on theta, its cell and budget
+    alone. Each root starts from the chord of the two nodes around it and
+    takes _FIT_STEPS Halley steps, clamped to the cell (NaN to its left end)."""
+    m = max(1.0, math.floor(_FIT_WIDTH * theta / _LATTICE_STEP))
+    n = math.ceil(min(10.0 + 4.5 * m * _LATTICE_STEP / theta, _MAX_NODES))
+    x, w = _chebyshev(n)
+    cells, row = np.unique(np.floor(cell / m), return_inverse=True)
+    mid, half = (cells + 0.5) * m * _LATTICE_STEP + _LATTICE_ORIGIN, 0.5 * m * _LATTICE_STEP
+    with np.errstate(all="ignore"):  # a share that underflows fails certification
+        f = np.log(share((mid[:, None] + half * x).ravel())).reshape(cells.size, n)
+        coef = (f[:, None, None, :] * w).sum(axis=3).transpose(1, 2, 0)[:, :, row]
+        coef[0, 0] -= log_shares
+        f, rows = f[row] - log_shares[:, None], np.arange(row.size)  # rising, as u falls
+        j = np.clip((f < 0.0).sum(axis=1), 1, n - 1)
+        f0, f1 = f[rows, j - 1], f[rows, j]
+        t = x[j - 1] + np.clip(f0 / (f0 - f1), 0.0, 1.0) * (x[j] - x[j - 1])
+        for _ in range(_FIT_STEPS):
+            b1 = b2 = 0.0  # Clenshaw's recurrence, for all three polynomials at once
+            for c in coef[:0:-1]:
+                b1, b2 = c + 2.0 * t * b1 - b2, b1
+            p, slope, curve = coef[0] + t * b1 - b2
+            t = np.fmin(np.fmax(t - p * slope / (slope * slope - 0.5 * p * curve), -1.0), 1.0)
+    return mid[row] + half * t
+
+
 def solve_lambda(v: PLCValue, theta: float, budget):
     """Multiplier whose update spends the null budget exactly.
 
     ``budget`` is a scalar or a 1-D array; the result has the same shape.
     The null spend S(u) = sum_k inc_k * P_0(z >= theta/2 - (l_k - u)/theta),
-    with u = log lambda and l_k the log-slopes (nonincreasing in k), is
-    continuous and strictly decreasing in u. It is a mixture of normal tails,
-    so it lies between the total increment times the tail at the first and
-    at the last log-slope, and each budget's root lies in the closed-form
-    bracket
+    with u = log lambda and l_k the nonincreasing log-slopes, is a mixture of
+    normal tails, continuous and strictly decreasing in u, so each budget's
+    root lies in the closed-form bracket
 
         l_last + theta * (q - theta/2) <= u <= l_first + theta * (q - theta/2),
 
-    where q is the upper normal quantile of budget / sum_k inc_k. The spend is
-    tabulated once, on the points of a fixed log-lambda lattice that cover
-    the batch's bracket clipped to the normal double range, plus one point
-    of slack on each side for rounding. Each budget's root is then polished
-    from the interpolated table by a Newton iteration that bisects its
-    bracket whenever a step leaves it. Because the lattice is fixed, a
-    budget's result does not depend on the other budgets it is solved with.
-    Every budget must meet the relative tolerance LAMBDA_REL_TOL. Budgets
-    above the top reachable knot are infeasible, and so is a budget above
-    the total increment, the spend's limit as lambda goes to 0. A multiplier
-    outside the normal double range, whether the table cannot bracket it or
-    the solve ends there, raises MultiplierRangeError. A solve that exhausts
-    its iterations or its floating-point resolution before meeting the
-    tolerance raises RuntimeError rather than return an unconverged root
-    (never lambda 0).
+    q the upper normal quantile of budget / sum_k inc_k. The spend is
+    tabulated on the fixed log-lambda lattice points that cover the batch's
+    brackets (clipped to the normal double range, one point of slack each
+    side). Each root is then taken from an interpolant of log S on its fit
+    cell, a run of lattice cells set by theta (_fitted_roots), and one exact
+    spend pass certifies it to the relative tolerance LAMBDA_REL_TOL; a root
+    that misses (most, at theta below about 0.09) goes on to a Newton
+    iteration that bisects its bracket whenever a step leaves it. Lattice
+    and fit cells are fixed, so a budget's result does not depend on the
+    budgets solved with it. A budget above the top reachable knot, or above
+    the total increment (the spend's limit as lambda goes to 0), is
+    infeasible. A multiplier outside the normal double range, unbracketed or
+    solved there, raises MultiplierRangeError; a solve that runs out of
+    iterations or of floating-point resolution short of the tolerance raises
+    RuntimeError rather than return an unconverged root (never lambda 0).
     """
     if not theta > 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
@@ -196,8 +243,8 @@ def solve_lambda(v: PLCValue, theta: float, budget):
             f"budget {b_max} is not attainable by any finite multiplier"
         )
 
-    def spend(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _spend(increments, _breakpoints(log_slopes, u[:, None], theta), theta)
+    def spend(u: np.ndarray, theta_for_slope: float | None = theta):
+        return _spend(increments, _breakpoints(log_slopes, u[:, None], theta), theta_for_slope)
 
     # The largest budget has the lowest root and the smallest the highest.
     log_tiny, log_max = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
@@ -207,7 +254,7 @@ def solve_lambda(v: PLCValue, theta: float, budget):
     first = math.floor((u_lo - _LATTICE_ORIGIN) / _LATTICE_STEP) - 1
     last = math.ceil((u_hi - _LATTICE_ORIGIN) / _LATTICE_STEP) + 1
     grid = np.arange(first, last + 1) * _LATTICE_STEP + _LATTICE_ORIGIN
-    table = spend(grid)[0]
+    table = spend(grid, None)[0]
     # The padded bracket holds every root, and where it was clipped the table
     # reaches a step past that end of the double range: a budget the table
     # misses has its root beyond it.
@@ -220,19 +267,19 @@ def solve_lambda(v: PLCValue, theta: float, budget):
         )
 
     # Bracket each budget between adjacent table points (spend decreases
-    # along the table) and start from the linear interpolant.
+    # along the table), fit its root there, and certify the fits in one pass
+    # of erfc alone; the budgets that miss go on to Newton.
     right = np.clip(np.searchsorted(-table, -budgets, side="left"), 1, grid.size - 1)
     lo, hi = grid[right - 1], grid[right]
-    s_left, s_right = table[right - 1], table[right]
-    drop = s_left - s_right
-    frac = np.divide(s_left - budgets, drop, out=np.full(budgets.shape, 0.5), where=drop > 0.0)
-    u = lo + np.clip(frac, 0.0, 1.0) * (hi - lo)
-
+    u = _fitted_roots(lambda u: spend(u, None)[0] / total, theta, first + right - 1.0,
+                      np.log(budgets / total))
+    residual = spend(u, None)[0] - budgets
     # u_at and residual hold the last evaluated point of each budget.
     u_at = u.copy()
-    residual = np.full(budgets.shape, np.inf)
-    active = np.arange(budgets.size)
+    active = np.flatnonzero(~(np.abs(residual) <= LAMBDA_REL_TOL * budgets))
     for _ in range(_MAX_ITERATIONS):
+        if active.size == 0:
+            break
         ua, target = u[active], budgets[active]
         value, slope = spend(ua)
         r = value - target
@@ -251,8 +298,6 @@ def solve_lambda(v: PLCValue, theta: float, budget):
         # floating-point resolution exhausted: no new point left to try
         stalled = (step == ua) | ~((lo_a < mid) & (mid < hi_a))
         active = active[~(converged | stalled)]
-        if active.size == 0:
-            break
     missed = ~(np.abs(residual) <= LAMBDA_REL_TOL * budgets)
     if missed.any():
         worst = int(np.argmax(np.where(missed, np.abs(residual) / budgets, -np.inf)))
@@ -317,17 +362,15 @@ class StepBatch:
 def optimal_steps(
     value: PLCValue, theta1: float, budgets
 ) -> tuple[StepBatch, np.ndarray]:
-    """Best one-step updates of the license, one per budget, under next-stage
-    values ``value``.
+    """Best one-step updates of the license, one per budget, under ``value``,
+    the concave nondecreasing hull of the next round's value table (lossless
+    for the optimum), built once per round by the caller.
 
-    ``value`` is the concave nondecreasing hull of the next round's value
-    table (lossless for the optimum), built once per round by the caller.
-    Each budget's multiplier is solved so its update's null expectation
-    equals the budget; all budgets share one multiplier solve. Returns the
-    updates, with a step at every positive-slope knot the solve priced, and
-    their expected hull values under the alternative. A budget
-    at or above the top reachable knot degenerates to the constant top
-    update with slack budget.
+    One solve_lambda call prices every budget, its fitted multipliers
+    certified by one exact spend pass, and one more dense pass scores the
+    updates under the alternative. Returns the updates, a step at every
+    positive-slope knot, and their expected hull values. A budget at or above
+    the top reachable knot gets the constant top update, with slack budget.
     """
     if not theta1 > 0.0:
         raise ValueError(f"theta1 must be positive, got {theta1}")

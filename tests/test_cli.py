@@ -117,6 +117,22 @@ class TestConfigParsing:
         assert key in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        (
+            (["welfare", "--seed", "-9223372036854775809"],
+             "(must be >= -9223372036854775808)"),
+            (["multiround", "--param", "horizon=9007199254740992"],
+             "(must be < 9007199254740992)"),
+            (["multiround", "--param", "theta_grid=1e20"], "(each must be < 4503599627370496.0)"),
+        ),
+    )
+    def test_bound_is_printed_exactly(self, tmp_path, capsys, argv, message):
+        # an int bound prints with str, a float with %g only where that reads back
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_file_is_read_as_utf8(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes("# na\u00efve \u2264 comment\ntheta1 = 0.5\n".encode("utf-8"))
@@ -447,11 +463,18 @@ class TestMultiroundCommand:
 
     @pytest.mark.parametrize(
         "key, value",
-        (("caps", "1,5,1"), ("caps", "1,1.0000001"), ("theta_grid", "1.645,1.645")),
+        (
+            ("caps", "1,5,1"),
+            ("caps", "1,1.0000001"),
+            ("theta_grid", "1.645,1.645"),
+            ("theta_grid", "1.645,1.6450000000001"),
+            ("theta_grid", "0,-0"),
+        ),
     )
     def test_repeated_grid_value_rejected(self, tmp_path, capsys, key, value):
-        # a repeat would solve and write the same cell twice, and two caps with
-        # one %g spelling (1 and 1.0000001) would write one curve file twice
+        # a repeat would solve and write the same cell twice, two caps with one
+        # %g spelling (1 and 1.0000001) would write one curve file twice, and two
+        # effects with one 12-digit spelling would write curve rows that read alike
         code = main(
             ["multiround", "--out", str(tmp_path), "--reps", "10", "--param", "levels=4",
              "--param", f"{key}={value}"]
@@ -571,8 +594,10 @@ class TestMultiroundCommand:
         # another numpy or scipy may move the last printed digit and need
         # new ones. The policy digest was re-recorded when the file began to
         # write the stored policy (repr floats, one row per level, one step
-        # pattern per round); test_dp.py::TestPolicyExport checks that every
-        # update rebuilt from the file equals the solver's.
+        # pattern per round), and again when the multipliers began to come
+        # from per-cell interpolants (its repr floats moved in the 12th digit);
+        # test_dp.py::TestPolicyExport checks that every update rebuilt from
+        # the file equals the solver's.
         out = tmp_path / "m"
         code = main(
             ["multiround", "--out", str(out), "--reps", "200",
@@ -592,7 +617,7 @@ class TestMultiroundCommand:
         }
         assert digests == {
             "multiround_policy.txt":
-                "f81a9f02909c99edbdbcf5e57502a4ae191dc6b1b75a8f840b817c017609e9c4",
+                "9b1e3aedc12775de4abce058db1c72d040f63b19a0b3412a37e50c42b55838fa",
             "multiround_episodes.csv":
                 "87f73b50054c12adffd616a036afd0f38844ca935d8821e6dfdb83183dfeeb89",
             "multiround_profit_cap1.csv":

@@ -59,7 +59,7 @@ def inside_scalar(spec: Key) -> st.SearchStrategy:
 
 def inside(spec: Key) -> st.SearchStrategy:
     if spec.kind == "floats":
-        return st.lists(inside_scalar(spec), min_size=1, max_size=4, unique=spec.unique)
+        return st.lists(inside_scalar(spec), min_size=1, max_size=4)
     return inside_scalar(spec)
 
 
@@ -93,13 +93,11 @@ def outside(draw, spec: Key):
         return draw(st.text().filter(lambda s: s not in spec.choices))
     if spec.kind != "floats":
         return draw(outside_scalar(spec))
-    faults = ["empty"] + ["repeat"] * spec.unique + ["element"] * has_bounds(spec)
+    faults = ["empty"] + ["element"] * has_bounds(spec)
     fault = draw(st.sampled_from(faults))
     if fault == "empty":
         return []
     values = draw(inside(spec))
-    if fault == "repeat":
-        return values + [values[0]]
     position = draw(st.integers(0, len(values)))
     return values[:position] + [draw(outside_scalar(spec))] + values[position:]
 
@@ -275,7 +273,7 @@ def small_inside(key: str, spec: Key) -> st.SearchStrategy:
     if key in SMALL:
         return st.integers(spec.at_least, SMALL[key])
     if spec.kind == "floats":
-        return st.lists(inside_scalar(spec), min_size=1, max_size=2, unique=spec.unique)
+        return st.lists(inside_scalar(spec), min_size=1, max_size=2)
     return inside_scalar(spec)
 
 

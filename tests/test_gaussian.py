@@ -52,6 +52,18 @@ class TestUpperTail:
     def test_against_quadrature_oracle(self, x):
         assert upper_tail(x) == pytest.approx(quadrature_tail(x), abs=1e-12)
 
+    def test_vectorized_tail_against_stdlib_erfc(self):
+        # the accuracy any vectorized tail kernel must keep: relative 1e-13
+        # where the stdlib tail is a normal double, absolute 2**-1022 where it
+        # is subnormal or 0; 37 to 39 holds the underflow edge, sampled densely
+        x = np.concatenate([np.linspace(-40.0, 40.0, 80_001), np.linspace(37.0, 39.0, 20_001)])
+        want = np.array([0.5 * math.erfc(v / math.sqrt(2.0)) for v in x.tolist()])
+        error = np.abs(upper_tail_np(x) - want)
+        normal = want >= 2.0**-1022
+        assert np.all(error[normal] <= 1e-13 * want[normal])
+        assert np.all(error[~normal] <= 2.0**-1022)
+        assert 0 < np.count_nonzero(~normal & (want > 0.0))
+
     def test_vectorized_matches_scalar(self):
         xs = np.linspace(-8, 8, 33)
         assert upper_tail_np(xs) == pytest.approx(

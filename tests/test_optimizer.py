@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
-from evcontracts import GaussianModel, LicenseFn, null_expectation, np_best_response
+from evcontracts import GaussianModel, LicenseFn, null_expectation, np_best_response, upper_tail
 from evcontracts.multiround import (
     InfeasibleBudgetError,
     LicenseGrid,
     PLCValue,
+    backward_induction,
     concave_monotone_hull,
     null_expectation_of_update,
     optimal_step,
@@ -16,6 +18,7 @@ from evcontracts.multiround import (
     optimizer,
     solve_lambda,
 )
+from test_dp import _oracle_lambda
 
 NULL = GaussianModel(0.0)
 
@@ -242,7 +245,8 @@ class TestSolveLambda:
     @pytest.mark.parametrize("theta", [8.0, 36.0])
     def test_large_effect_tabulates_its_bracket_once(self, monkeypatch, theta):
         # roots far below 1e-6 (near exp(-690) at theta 36) are bracketed in
-        # closed form: one table pass, then a few Newton passes
+        # closed form: one table pass, one pass over the fit cells' nodes and
+        # one certifying pass, with no Newton pass
         passes = []
         spend = optimizer._spend
 
@@ -254,10 +258,57 @@ class TestSolveLambda:
         v = sqrt_value(1.0, 10)
         budgets = np.linspace(0.1, 0.9, 9)
         lams = solve_lambda(v, theta, budgets)
-        assert len(passes) <= 8
+        assert len(passes) <= 3
         monkeypatch.setattr(optimizer, "_spend", spend)
         for lam, budget in zip(lams, budgets):
             assert null_expectation_of_update(v, lam, theta) == pytest.approx(budget, rel=1e-11)
+
+    def test_fine_grid_round_is_certified_in_one_pass(self, monkeypatch):
+        # each round: the lattice table, the fit cells' nodes (far fewer rows
+        # than levels), then one exact pass over the 392 levels below the cap,
+        # and no pass with a slope, so no level falls back to Newton
+        passes = []
+        spend = optimizer._spend
+
+        def counted(increments, y, theta):
+            passes.append((len(y), theta is not None))
+            return spend(increments, y, theta)
+
+        monkeypatch.setattr(optimizer, "_spend", counted)
+        backward_induction(5, 0.1, 1.0, LicenseGrid.from_cap(5.0, 400))
+        rows = [n for n, _ in passes]
+        assert len(rows) == 15 and rows[2::3] == [392] * 5
+        assert max(rows[0::3] + rows[1::3]) < 392 / 3
+        assert not any(slope for _, slope in passes)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=2000)
+    @given(st.data())
+    def test_random_hull_meets_its_budgets(self, data):
+        # a concave hull with up to 50 positive slopes, theta in [0.05, 40] and
+        # budget shares Pbar(q) with theta * (theta/2 - q) <= 300, so every root
+        # lies above exp(-306), where the oracle's geometric midpoints stay normal
+        k = data.draw(st.integers(1, 50))
+        gaps = data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+        log_slopes = sorted(data.draw(st.lists(st.floats(-6.0, 3.0), min_size=k, max_size=k)))
+        knots = np.concatenate(([0.0], np.cumsum(gaps)))
+        values = np.concatenate(([0.0], np.cumsum(np.exp(log_slopes[::-1]) * gaps)))
+        v = concave_monotone_hull(knots, values)
+        theta = data.draw(st.floats(0.05, 40.0))
+        q_min = max(-2.0, theta / 2.0 - 300.0 / theta)
+        qs = data.draw(st.lists(st.floats(q_min, q_min + 8.0), min_size=1, max_size=12))
+        budgets = np.array([upper_tail(q) for q in qs]) * v.knots[-1]
+        lams = solve_lambda(v, theta, budgets)
+        assert lams.tolist() == [solve_lambda(v, theta, float(b)) for b in budgets]
+        slopes, increments = v.left_slopes(), np.diff(v.knots)
+        for lam, budget in zip(lams, budgets):
+            spend = null_expectation_of_update(v, lam, theta)
+            assert abs(spend - budget) <= optimizer.LAMBDA_REL_TOL * budget
+            # both multipliers meet the budget to LAMBDA_REL_TOL, which pins
+            # log lambda to about LAMBDA_REL_TOL * budget / |S'| either way
+            y = optimizer._breakpoints(np.log(slopes), np.array([[math.log(lam)]]), theta)
+            slope = -optimizer._spend(increments, y, theta)[1][0]
+            u_oracle = math.log(_oracle_lambda(slopes, increments, theta, budget))
+            assert abs(math.log(lam) - u_oracle) <= 4.0 * optimizer.LAMBDA_REL_TOL * budget / slope
 
     def test_multiplier_above_the_double_range_raises(self):
         # a slope near 1e300 puts the root of a tiny budget above exp(709.8)
