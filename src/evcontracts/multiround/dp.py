@@ -125,8 +125,8 @@ def backward_induction(
 
     The per-round optimization uses the analytic Gaussian-tail optimizer:
     the concave nondecreasing hull of the next round's value table is built
-    once per round and all levels are solved against it in two dense passes,
-    one certifying their fitted multipliers and one scoring their updates.
+    once per round, all levels' log multipliers are solved against it and
+    stored as certified, and one more dense pass scores their updates.
     """
     if not theta1 > 0.0:
         raise ValueError(

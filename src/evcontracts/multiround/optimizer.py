@@ -11,16 +11,16 @@ of z with breakpoints
 
 one per positive-slope knot, and all the relevant expectations reduce to
 normal tails at the y_k (shifted by theta under the alternative). The budget
-is smooth and strictly decreasing in u = log lambda; each multiplier is the
-root of a Chebyshev interpolant of the spend on a fixed cell of u, certified
-by one exact pass, with a bracketed Newton iteration for any that misses.
+is smooth and strictly decreasing in u = log lambda, the multiplier's one
+form: each root u comes from a Chebyshev interpolant of the spend on a fixed
+cell of u, and one loop of exact spend passes certifies it or steps it on.
 
 Every function here takes the value function as a PLCValue. The dynamic
 program builds that hull once per round and solves every grid level of the
-round against it together (optimal_steps). The gaps between
-breakpoints do not depend on lambda, so the round's updates are kept as one
-StepBatch: the shared step values and log-slopes plus one log-multiplier per
-level, from which a LicenseFn step function of z is built only on demand.
+round against it together (optimal_steps). The gaps between breakpoints do
+not depend on lambda, so the round's updates are kept as one StepBatch: the
+shared step values and log-slopes plus the solver's u for each level, from
+which a LicenseFn step function of z is built only on demand.
 One knot set serves throughout: every positive-slope hull knot is priced by
 the multiplier solve, scored under the alternative and stored as a step.
 """
@@ -38,8 +38,8 @@ from ..licenses import LicenseFn
 from .values import PLCValue, _read_only
 
 LAMBDA_REL_TOL = 1e-12
-# solve_lambda tabulates the spend at log lambda = k * _LATTICE_STEP +
-# _LATTICE_ORIGIN; k = 0..64 give np.linspace(log 1e-6, log 1e6, 65) bit for bit.
+# _solve_log_lambda tabulates the spend at u = k * _LATTICE_STEP + _LATTICE_ORIGIN
+# (linspace(log 1e-6, log 1e6, 65) at k = 0..64), fixed so batch and single solves agree.
 _LATTICE_ORIGIN = math.log(1e-6)
 _LATTICE_STEP = (math.log(1e6) - math.log(1e-6)) / 64
 _MAX_ITERATIONS = 200
@@ -108,16 +108,16 @@ def _breakpoints(log_slopes, u, theta: float):
         return theta / 2.0 - (log_slopes - u) / theta
 
 
-def _spend(increments: np.ndarray, y: np.ndarray, theta: float | None):
-    """Null expectation sum_k inc_k * P_0(z >= y_k) of each row's update and its
-    derivative in log lambda, -sum_k inc_k * phi(y_k) / theta (None for theta None)."""
-    spend = (increments * upper_tail_np(y)).sum(axis=1)
-    if theta is None:
-        return spend, None
+def _spend(increments: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Null expectation sum_k inc_k * P_0(z >= y_k) of each row's update."""
+    return (increments * upper_tail_np(y)).sum(axis=1)
+
+
+def _spend_slope(increments: np.ndarray, y: np.ndarray, theta: float) -> np.ndarray:
+    """Derivative of each row's spend in log lambda, -sum_k inc_k * phi(y_k) / theta."""
     # y * y overflows only where phi(y) is 0 anyway
     with np.errstate(over="ignore"):
-        slope = (increments * np.exp(-0.5 * y * y)).sum(axis=1) / (-theta * _SQRT_2PI)
-    return spend, slope
+        return (increments * np.exp(-0.5 * y * y)).sum(axis=1) / (-theta * _SQRT_2PI)
 
 
 def _alternative_values(v: PLCValue, n_knots: int, y: np.ndarray, theta: float) -> np.ndarray:
@@ -136,8 +136,7 @@ def null_expectation_of_update(v: PLCValue, lam: float, theta: float) -> float:
     if knots.size == 0:
         return 0.0
     y = _breakpoints(np.log(slopes), np.array([[math.log(lam)]]), theta)
-    spend, _ = _spend(np.diff(knots, prepend=0.0), y, None)
-    return float(spend[0])
+    return float(_spend(np.diff(knots, prepend=0.0), y)[0])
 
 
 def _tail_quantile(p: float) -> float:
@@ -192,10 +191,31 @@ def _fitted_roots(share, theta: float, cell: np.ndarray, log_shares: np.ndarray)
     return mid[row] + half * t
 
 
-def solve_lambda(v: PLCValue, theta: float, budget):
-    """Multiplier whose update spends the null budget exactly.
+def _checked_budgets(theta: float, budgets) -> np.ndarray:
+    """``budgets`` as a 1-D float array, checked positive with theta."""
+    if not theta > 0.0:
+        raise ValueError(f"theta must be positive, got {theta}")
+    budgets = np.asarray(budgets, dtype=float)
+    if budgets.ndim != 1:
+        raise ValueError(f"budgets must be a 1-D array, got shape {budgets.shape}")
+    bad = ~(budgets > 0.0)
+    if bad.any():
+        raise ValueError(f"budget must be positive, got {float(budgets[bad][0])}")
+    return budgets
 
-    ``budget`` is a scalar or a 1-D array; the result has the same shape.
+
+def solve_lambda(v: PLCValue, theta: float, budget):
+    """Multiplier exp(u) whose update spends the null budget exactly, u the root
+    _solve_log_lambda certifies; the result has the shape of ``budget``."""
+    budgets = _checked_budgets(theta, np.atleast_1d(budget))
+    knots, slopes = _positive_slope_prefix(v)
+    lam = np.exp(_solve_log_lambda(knots, np.log(slopes), theta, budgets))
+    return float(lam[0]) if np.ndim(budget) == 0 else lam
+
+
+def _solve_log_lambda(knots, log_slopes, theta: float, budgets: np.ndarray) -> np.ndarray:
+    """Log-multipliers u whose updates on the positive-slope ``knots`` spend ``budgets``.
+
     The null spend S(u) = sum_k inc_k * P_0(z >= theta/2 - (l_k - u)/theta),
     with u = log lambda and l_k the nonincreasing log-slopes, is a mixture of
     normal tails, continuous and strictly decreasing in u, so each budget's
@@ -206,35 +226,25 @@ def solve_lambda(v: PLCValue, theta: float, budget):
     q the upper normal quantile of budget / sum_k inc_k. The spend is
     tabulated on the fixed log-lambda lattice points that cover the batch's
     brackets (clipped to the normal double range, one point of slack each
-    side). Each root is then taken from an interpolant of log S on its fit
-    cell, a run of lattice cells set by theta (_fitted_roots), and one exact
-    spend pass certifies it to the relative tolerance LAMBDA_REL_TOL; a root
-    that misses (most, at theta below about 0.09) goes on to a Newton
-    iteration that bisects its bracket whenever a step leaves it. Lattice
-    and fit cells are fixed, so a budget's result does not depend on the
-    budgets solved with it. A budget above the top reachable knot, or above
-    the total increment (the spend's limit as lambda goes to 0), is
-    infeasible. A multiplier outside the normal double range, unbracketed or
-    solved there, raises MultiplierRangeError; a solve that runs out of
-    iterations or of floating-point resolution short of the tolerance raises
-    RuntimeError rather than return an unconverged root (never lambda 0).
+    side), and each root is taken from an interpolant of log S on its fit
+    cell, a run of lattice cells set by theta (_fitted_roots). Each pass of
+    one loop then prices the open budgets at their u, the first certifying
+    the fits to the relative tolerance LAMBDA_REL_TOL; only a miss (most, at
+    theta below about 0.09) gets the slope S' and a Newton step, bisecting
+    its bracket whenever the step would leave it. Lattice and fit cells are
+    fixed, so a budget's root does not depend on the budgets solved with it.
+    A budget above the top reachable knot, or above the total increment (the
+    spend's limit as lambda goes to 0), is infeasible. A multiplier outside
+    the normal double range, unbracketed or solved there, raises
+    MultiplierRangeError; running out of passes or of floating-point
+    resolution short of the tolerance raises RuntimeError.
     """
-    if not theta > 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    budgets = np.atleast_1d(np.asarray(budget, dtype=float))
-    if budgets.ndim != 1:
-        raise ValueError(f"budget must be a scalar or a 1-D array, got shape {budgets.shape}")
-    bad = ~(budgets > 0.0)
-    if bad.any():
-        raise ValueError(f"budget must be positive, got {float(budgets[bad][0])}")
-    knots, slopes = _positive_slope_prefix(v)
     top = float(knots[-1]) if knots.size else 0.0
     over = budgets > top
     if over.any():
         raise InfeasibleBudgetError(
             f"budget {float(budgets[over][0])} exceeds the top reachable knot {top}"
         )
-    log_slopes = np.log(slopes)
     increments = np.diff(knots, prepend=0.0)
     total = float(increments.sum())
     b_max, b_min = float(budgets.max()), float(budgets.min())
@@ -243,8 +253,8 @@ def solve_lambda(v: PLCValue, theta: float, budget):
             f"budget {b_max} is not attainable by any finite multiplier"
         )
 
-    def spend(u: np.ndarray, theta_for_slope: float | None = theta):
-        return _spend(increments, _breakpoints(log_slopes, u[:, None], theta), theta_for_slope)
+    def spend(u: np.ndarray) -> np.ndarray:
+        return _spend(increments, _breakpoints(log_slopes, u[:, None], theta))
 
     # The largest budget has the lowest root and the smallest the highest.
     log_tiny, log_max = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
@@ -254,7 +264,7 @@ def solve_lambda(v: PLCValue, theta: float, budget):
     first = math.floor((u_lo - _LATTICE_ORIGIN) / _LATTICE_STEP) - 1
     last = math.ceil((u_hi - _LATTICE_ORIGIN) / _LATTICE_STEP) + 1
     grid = np.arange(first, last + 1) * _LATTICE_STEP + _LATTICE_ORIGIN
-    table = spend(grid, None)[0]
+    table = spend(grid)
     # The padded bracket holds every root, and where it was clipped the table
     # reaches a step past that end of the double range: a budget the table
     # misses has its root beyond it.
@@ -267,37 +277,36 @@ def solve_lambda(v: PLCValue, theta: float, budget):
         )
 
     # Bracket each budget between adjacent table points (spend decreases
-    # along the table), fit its root there, and certify the fits in one pass
-    # of erfc alone; the budgets that miss go on to Newton.
+    # along the table) and fit its root there.
     right = np.clip(np.searchsorted(-table, -budgets, side="left"), 1, grid.size - 1)
     lo, hi = grid[right - 1], grid[right]
-    u = _fitted_roots(lambda u: spend(u, None)[0] / total, theta, first + right - 1.0,
+    u = _fitted_roots(lambda u: spend(u) / total, theta, first + right - 1.0,
                       np.log(budgets / total))
-    residual = spend(u, None)[0] - budgets
-    # u_at and residual hold the last evaluated point of each budget.
-    u_at = u.copy()
-    active = np.flatnonzero(~(np.abs(residual) <= LAMBDA_REL_TOL * budgets))
+    # u_at and residual hold the last priced point of each budget.
+    u_at, residual = u.copy(), np.empty_like(budgets)
+    active = np.arange(budgets.size)
     for _ in range(_MAX_ITERATIONS):
+        ua, target = u[active], budgets[active]
+        y = _breakpoints(log_slopes, ua[:, None], theta)
+        r = _spend(increments, y) - target
+        u_at[active], residual[active] = ua, r
+        miss = ~(np.abs(r) <= LAMBDA_REL_TOL * target)
+        active, ua, r = active[miss], ua[miss], r[miss]
         if active.size == 0:
             break
-        ua, target = u[active], budgets[active]
-        value, slope = spend(ua)
-        r = value - target
-        u_at[active], residual[active] = ua, r
         # spend decreases in u: too much spend means the root lies above ua
         lo_a = np.where(r > 0.0, ua, lo[active])
         hi_a = np.where(r > 0.0, hi[active], ua)
         lo[active], hi[active] = lo_a, hi_a
         # a step that overflows is discarded by the bracket test below
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            newton = ua - r / slope
+            newton = ua - r / _spend_slope(increments, y[miss], theta)
         mid = 0.5 * (lo_a + hi_a)
         step = np.where((newton > lo_a) & (newton < hi_a), newton, mid)
-        u[active] = step
-        converged = np.abs(r) <= LAMBDA_REL_TOL * target
         # floating-point resolution exhausted: no new point left to try
-        stalled = (step == ua) | ~((lo_a < mid) & (mid < hi_a))
-        active = active[~(converged | stalled)]
+        moved = (step != ua) & (lo_a < mid) & (mid < hi_a)
+        active = active[moved]
+        u[active] = step[moved]
     missed = ~(np.abs(residual) <= LAMBDA_REL_TOL * budgets)
     if missed.any():
         worst = int(np.argmax(np.where(missed, np.abs(residual) / budgets, -np.inf)))
@@ -306,17 +315,15 @@ def solve_lambda(v: PLCValue, theta: float, budget):
             f"{math.exp(u_at[worst])!r} with residual {float(residual[worst])!r}, "
             f"above the relative tolerance {LAMBDA_REL_TOL}"
         )
-    lam = np.exp(u_at)
-    # A subnormal lambda would make log(lambda) in optimal_steps inexact, and
-    # 0 would read as the constant update.
-    outside = ~((lam >= np.finfo(float).tiny) & (lam < math.inf))
+    # u in [log_tiny, log_max] is exactly lambda = exp(u) normal, returned or stored
+    outside = ~((u_at >= log_tiny) & (u_at <= log_max))
     if outside.any():
         worst = int(np.argmax(outside))
         raise MultiplierRangeError(
             f"multiplier for budget {float(budgets[worst])} at theta {theta!r} is "
             f"exp({float(u_at[worst])!r}), outside the normal double range"
         )
-    return float(lam[0]) if np.ndim(budget) == 0 else lam
+    return u_at
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,20 +373,13 @@ def optimal_steps(
     the concave nondecreasing hull of the next round's value table (lossless
     for the optimum), built once per round by the caller.
 
-    One solve_lambda call prices every budget, its fitted multipliers
-    certified by one exact spend pass, and one more dense pass scores the
-    updates under the alternative. Returns the updates, a step at every
-    positive-slope knot, and their expected hull values. A budget at or above
-    the top reachable knot gets the constant top update, with slack budget.
+    One _solve_log_lambda call prices every budget, whose certified roots u
+    are stored as returned, and one more dense pass scores the updates under
+    the alternative. Returns the updates, a step at every positive-slope
+    knot, and their expected hull values. A budget at or above the top
+    reachable knot gets the constant top update, with slack budget.
     """
-    if not theta1 > 0.0:
-        raise ValueError(f"theta1 must be positive, got {theta1}")
-    budgets = np.asarray(budgets, dtype=float)
-    if budgets.ndim != 1:
-        raise ValueError(f"budgets must be a 1-D array, got shape {budgets.shape}")
-    bad = ~(budgets > 0.0)
-    if bad.any():
-        raise ValueError(f"budget must be positive, got {float(budgets[bad][0])}")
+    budgets = _checked_budgets(theta1, budgets)
     knots, slopes = _positive_slope_prefix(value)
     log_slopes = np.log(slopes)
     # A flat value function has no knot worth buying: it never spends.
@@ -388,7 +388,7 @@ def optimal_steps(
     alt_values = np.full(budgets.size, float(value(top)))
     inner = np.flatnonzero(budgets < top * (1.0 - 1e-12))
     if inner.size:
-        u[inner] = np.log(solve_lambda(value, theta1, budgets[inner]))
+        u[inner] = _solve_log_lambda(knots, log_slopes, theta1, budgets[inner])
         y = _breakpoints(log_slopes, u[inner, None], theta1)
         alt_values[inner] = _alternative_values(value, knots.size, y, theta1)
     return StepBatch(theta1, log_slopes, np.concatenate(([0.0], knots)), u), alt_values

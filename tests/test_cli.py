@@ -537,8 +537,8 @@ class TestMultiroundCommand:
         (
             # a tiny effect or a subnormal cost leaves the multiplier solve
             # short of its tolerance
-            ("theta_grid", ["theta_grid=1e-12"]),
-            ("theta_star", ["theta_grid=-0.5", "theta_star=1e-12"]),
+            ("theta_grid", ["theta_grid=1e-300"]),
+            ("theta_star", ["theta_grid=-0.5", "theta_star=1e-300"]),
             ("theta_grid", ["cost=1e-320"]),
         ),
     )
@@ -595,7 +595,9 @@ class TestMultiroundCommand:
         # new ones. The policy digest was re-recorded when the file began to
         # write the stored policy (repr floats, one row per level, one step
         # pattern per round), and again when the multipliers began to come
-        # from per-cell interpolants (its repr floats moved in the 12th digit);
+        # from per-cell interpolants (its repr floats moved in the 12th digit),
+        # and again when it began to store the solver's log multiplier as
+        # solved rather than log(exp(u)) (last-digit moves);
         # test_dp.py::TestPolicyExport checks that every update rebuilt from
         # the file equals the solver's.
         out = tmp_path / "m"
@@ -617,7 +619,7 @@ class TestMultiroundCommand:
         }
         assert digests == {
             "multiround_policy.txt":
-                "9b1e3aedc12775de4abce058db1c72d040f63b19a0b3412a37e50c42b55838fa",
+                "6bf4352ba946effe590e1e46a9e6934b64699f6809284c86160748b9c188f7fe",
             "multiround_episodes.csv":
                 "87f73b50054c12adffd616a036afd0f38844ca935d8821e6dfdb83183dfeeb89",
             "multiround_profit_cap1.csv":

@@ -66,13 +66,13 @@ class TestHullPerRound:
     def test_one_multiplier_solve_per_round(self, monkeypatch):
         # every level's budget of a round goes through a single solve
         sizes = []
-        solve = optimizer.solve_lambda
+        solve = optimizer._solve_log_lambda
 
-        def counted(v, theta, budget):
-            sizes.append(np.size(budget))
-            return solve(v, theta, budget)
+        def counted(knots, log_slopes, theta, budgets):
+            sizes.append(np.size(budgets))
+            return solve(knots, log_slopes, theta, budgets)
 
-        monkeypatch.setattr(optimizer, "solve_lambda", counted)
+        monkeypatch.setattr(optimizer, "_solve_log_lambda", counted)
         backward_induction(3, 0.1, 1.0, LicenseGrid.from_cap(1.0, 20))
         assert len(sizes) == 3
         assert all(size > 1 for size in sizes)
@@ -270,12 +270,21 @@ class TestExtremeEffects:
                 backward_induction(5, 0.1, 1e-300, LicenseGrid.from_cap(1.0, 5))
         assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
 
-    @pytest.mark.parametrize("theta", [1e-4, 1e-2])
+    @pytest.mark.parametrize("theta", [1e-12, 1e-10, 1e-8, 1e-4, 1e-2])
     def test_small_effect_solves_without_warnings(self, theta):
+        # the stored u is the certified root itself: every continue-update
+        # spends its budget, level plus cost, to the solver's tolerance
+        grid, cost = LicenseGrid.from_cap(1.0, 10), 0.1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            policy = backward_induction(5, 0.1, theta, LicenseGrid.from_cap(1.0, 10))
+            policy = backward_induction(5, cost, theta, grid)
         assert 0.0 <= policy.root_value < theta
+        levels = grid.level_values()
+        for t, go in enumerate(policy.go, start=1):
+            for i in np.flatnonzero(go):
+                spend = null_expectation(policy.action(t, i), NULL)
+                budget = levels[i] + cost
+                assert abs(spend - budget) <= 2.0 * optimizer.LAMBDA_REL_TOL * budget
 
 
 class TestValueTables:
@@ -568,9 +577,10 @@ class TestPooledAgentComparison:
 def _enumeration_oracle(z_points, n_levels, cap, costs, theta) -> float:
     """Brute-force policy search, coded independently of the package.
 
-    Evidence cells from the midpoints; per state, every nondecreasing map
-    from cells to license levels is scored; stage values combine by explicit
-    forward expectation.
+    Evidence cells from the midpoints; every nondecreasing map from cells to
+    license levels is scored in each round, and each state keeps the best
+    one its budget affords; stage values combine by explicit forward
+    expectation.
     """
     from itertools import combinations_with_replacement
     from scipy.stats import norm
@@ -590,28 +600,17 @@ def _enumeration_oracle(z_points, n_levels, cap, costs, theta) -> float:
     p0, p1 = cell_probs(0.0), cell_probs(theta)
     eps = cap / n_levels
 
-    def levels_per_cell(jumps):
-        return [sum(1 for j in jumps if j <= c) for c in range(n_cells)]
+    # every update, as the cells where its license steps up one level each,
+    # with its null spend and cell-to-level map, computed once
+    jumps = np.array(list(combinations_with_replacement(range(n_cells + 1), n_levels)))
+    tails = np.array([p0[j:].sum() for j in range(n_cells + 1)])
+    spends = eps * sum(tails[jumps[:, k]] for k in range(n_levels))
+    cell_levels = (jumps[:, :, None] <= np.arange(n_cells)).sum(axis=1)
 
-    # every update's null spend and cell-to-level map, computed once
-    updates = [
-        (eps * sum(p0[j:].sum() for j in jumps), levels_per_cell(jumps))
-        for jumps in combinations_with_replacement(range(n_cells + 1), n_levels)
-    ]
-
-    def best_step(w, budget):
-        best = -math.inf
-        for spend, cell_levels in updates:
-            if spend > budget + 1e-12:
-                continue
-            value = sum(p1[c] * w[k] for c, k in enumerate(cell_levels))
-            best = max(best, value)
-        return best
-
-    w = [min(i * eps, cap) for i in range(n_levels + 1)]
+    levels = np.arange(n_levels + 1) * eps
+    w = np.minimum(levels, cap)
     for cost in reversed(costs):
-        w = [
-            max(i * eps, best_step(w, i * eps + cost) - cost)
-            for i in range(n_levels + 1)
-        ]
-    return w[0]
+        values = sum(p1[c] * w[cell_levels[:, c]] for c in range(n_cells))
+        affordable = spends <= (levels + cost)[:, None] + 1e-12
+        w = np.maximum(levels, np.where(affordable, values, -np.inf).max(axis=1) - cost)
+    return float(w[0])

@@ -237,8 +237,9 @@ class TestSolveLambda:
             solve_lambda(v, 1.0, np.array([0.5, 0.0]))
 
     def test_lattice_points_are_the_linspace_table(self):
-        # the first 65 lattice points are the fixed table the solver has always
-        # interpolated from, so roots inside [1e-6, 1e6] keep their bits
+        # the lattice is fixed, not placed by the batch, so a budget's fit cell
+        # and root are the same solved alone or with others; its first 65
+        # points are np.linspace(log 1e-6, log 1e6, 65)
         grid = np.arange(65) * optimizer._LATTICE_STEP + optimizer._LATTICE_ORIGIN
         assert grid.tolist() == np.linspace(math.log(1e-6), math.log(1e6), 65).tolist()
 
@@ -250,9 +251,9 @@ class TestSolveLambda:
         passes = []
         spend = optimizer._spend
 
-        def counted(increments, y, theta):
+        def counted(increments, y):
             passes.append(len(y))
-            return spend(increments, y, theta)
+            return spend(increments, y)
 
         monkeypatch.setattr(optimizer, "_spend", counted)
         v = sqrt_value(1.0, 10)
@@ -266,20 +267,39 @@ class TestSolveLambda:
     def test_fine_grid_round_is_certified_in_one_pass(self, monkeypatch):
         # each round: the lattice table, the fit cells' nodes (far fewer rows
         # than levels), then one exact pass over the 392 levels below the cap,
-        # and no pass with a slope, so no level falls back to Newton
-        passes = []
-        spend = optimizer._spend
+        # and no slope pass, so no level takes a Newton step
+        rows, slopes = [], []
+        spend, spend_slope = optimizer._spend, optimizer._spend_slope
 
-        def counted(increments, y, theta):
-            passes.append((len(y), theta is not None))
-            return spend(increments, y, theta)
+        def counted(increments, y):
+            rows.append(len(y))
+            return spend(increments, y)
+
+        def counted_slope(increments, y, theta):
+            slopes.append(len(y))
+            return spend_slope(increments, y, theta)
 
         monkeypatch.setattr(optimizer, "_spend", counted)
+        monkeypatch.setattr(optimizer, "_spend_slope", counted_slope)
         backward_induction(5, 0.1, 1.0, LicenseGrid.from_cap(5.0, 400))
-        rows = [n for n, _ in passes]
         assert len(rows) == 15 and rows[2::3] == [392] * 5
         assert max(rows[0::3] + rows[1::3]) < 392 / 3
-        assert not any(slope for _, slope in passes)
+        assert slopes == []
+
+    def test_missed_roots_are_priced_once(self, monkeypatch):
+        # at theta 0.05 about half the fitted roots miss certification; the
+        # pass that certifies them is the first pass of their Newton loop, so
+        # no breakpoint row (one update at one u) is priced twice
+        rows = []
+        spend = optimizer._spend
+
+        def counted(increments, y):
+            rows.extend(map(bytes, y))
+            return spend(increments, y)
+
+        monkeypatch.setattr(optimizer, "_spend", counted)
+        backward_induction(1, 0.1, 0.05, LicenseGrid.from_cap(5.0, 400))
+        assert len(rows) > 0 and len(set(rows)) == len(rows)
 
     @settings(max_examples=40, derandomize=True, database=None, deadline=2000)
     @given(st.data())
@@ -306,7 +326,7 @@ class TestSolveLambda:
             # both multipliers meet the budget to LAMBDA_REL_TOL, which pins
             # log lambda to about LAMBDA_REL_TOL * budget / |S'| either way
             y = optimizer._breakpoints(np.log(slopes), np.array([[math.log(lam)]]), theta)
-            slope = -optimizer._spend(increments, y, theta)[1][0]
+            slope = -optimizer._spend_slope(increments, y, theta)[0]
             u_oracle = math.log(_oracle_lambda(slopes, increments, theta, budget))
             assert abs(math.log(lam) - u_oracle) <= 4.0 * optimizer.LAMBDA_REL_TOL * budget / slope
 
