@@ -447,7 +447,8 @@ def _multiround_cell(
     An effect at most zero plays the theta_star agent's strategies against
     null evidence. A design effect too large for the multiplier's double
     range is a config error naming the key it came from; an unconverged
-    multiplier solve (a tiny effect, a subnormal cost) also names 'cost'.
+    multiplier solve or a root below its precision floor (a tiny effect, a
+    subnormal cost, a cost within the tolerance of the cap) also names 'cost'.
     """
     T, cost = config["horizon"], config["cost"]
     design_theta = theta1 if theta1 > 0.0 else config["theta_star"]

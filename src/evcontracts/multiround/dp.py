@@ -9,19 +9,20 @@ held, at most the grid top; costs are booked additively as they are paid, which
 is equivalent for profit-linear utility and keeps the state one-dimensional.
 
 The updates of all levels in a round share one step pattern and differ only
-in their multiplier, so the policy stores each round as one StepBatch plus a
-stop/continue mask instead of one update per level.
+in their multiplier, so the policy stores each round as one StepBatch instead
+of one update per level; its stop/continue mask is read off the value table.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..licenses import LicenseFn
-from .optimizer import LicenseGrid, StepBatch, optimal_steps
+from .optimizer import LAMBDA_REL_TOL, LicenseGrid, StepBatch, optimal_steps
 from .values import concave_monotone_hull
 
 
@@ -31,21 +32,45 @@ class DPPolicy:
 
     ``value_tables[t][i]`` is the best profit-to-go holding level i after t
     completed rounds. ``updates[t-1]`` holds the round-t updates of every
-    level as one StepBatch (entry i is level i's update) and ``go[t-1][i]``
-    says whether level i continues in round t. ``root_value`` is the value
-    of starting the game.
+    level as one StepBatch (entry i is level i's update), and level i
+    continues in round t, ``go[t-1][i]``, exactly when its value beats the
+    level itself. ``root_value`` is the value of starting the game.
     """
 
-    horizon: int
     grid: LicenseGrid
     costs: tuple[float, ...]
     value_tables: tuple[np.ndarray, ...]
     updates: tuple[StepBatch, ...]
-    go: tuple[np.ndarray, ...]
+
+    @property
+    def horizon(self) -> int:
+        return len(self.costs)
+
+    @functools.cached_property
+    def go(self) -> tuple[np.ndarray, ...]:
+        return tuple(value > self.grid.level_values() for value in self.value_tables[:-1])
 
     @property
     def root_value(self) -> float:
         return float(self.value_tables[0][0])
+
+    @property
+    def precision_floor(self) -> float:
+        """First-order bound on the root's error from the multiplier tolerance;
+        float rounding, about eps times the budgets, comes on top.
+
+        An update meets its budget B only to LAMBDA_REL_TOL·B, which moves its
+        expected value V(B) by at most LAMBDA_REL_TOL·lambda·B: its multiplier
+        lambda is the slope of V, concave in B. Expectations and the
+        stop/continue max pass errors on without growth, so round t adds
+        LAMBDA_REL_TOL times the mean of lambda·B along the policy. That mean
+        is at most the round's largest lambda·B and, as lambda·B <= V(B) -
+        V(0), at most the root plus the costs of rounds 1..t.
+        """
+        levels = self.grid.level_values()
+        spent = [(np.exp(b.u) * (levels + c)).max() for b, c in zip(self.updates, self.costs)]
+        paid = self.root_value + np.cumsum(self.costs)
+        return LAMBDA_REL_TOL * float(np.minimum(spent, paid).sum())
 
     def action(self, t: int, level_index: int) -> LicenseFn | None:
         """Update chosen in round t (1-based) at the given level, None = stop."""
@@ -90,7 +115,7 @@ def _induct(
     grid: LicenseGrid,
     round_costs: Sequence[float],
     best_steps: Callable[[np.ndarray, np.ndarray], tuple[object, np.ndarray]],
-) -> tuple[list[np.ndarray], list[tuple[object, np.ndarray]]]:
+) -> tuple[list[np.ndarray], list[object]]:
     """Backward induction from the terminal value, the level held, over the rounds.
 
     ``best_steps(value, budgets)`` solves one round: given the next round's
@@ -98,8 +123,7 @@ def _induct(
     returns the levels' updates and their expected next-round values under
     the alternative. Stopping keeps the current level, so continuation is
     chosen only when it is strictly better. Returns the value tables, entry
-    t after t completed rounds, and each round's (updates, go mask) in round
-    order.
+    t after t completed rounds, and each round's updates in round order.
     """
     levels = grid.level_values()
     value = levels
@@ -108,10 +132,9 @@ def _induct(
     for cost in reversed(round_costs):
         updates, alt_values = best_steps(value, levels + cost)
         continuation = alt_values - cost
-        go = continuation > levels
-        value = np.where(go, continuation, levels)
+        value = np.where(continuation > levels, continuation, levels)
         tables.append(value)
-        rounds.append((updates, go))
+        rounds.append(updates)
     return tables[::-1], rounds[::-1]
 
 
@@ -127,6 +150,9 @@ def backward_induction(
     the concave nondecreasing hull of the next round's value table is built
     once per round, all levels' log multipliers are solved against it and
     stored as certified, and one more dense pass scores their updates.
+
+    A root that continues with a profit below its precision floor cannot be
+    told from zero and raises RuntimeError.
     """
     if not theta1 > 0.0:
         raise ValueError(
@@ -138,13 +164,11 @@ def backward_induction(
     def best_steps(value: np.ndarray, budgets: np.ndarray) -> tuple[StepBatch, np.ndarray]:
         return optimal_steps(concave_monotone_hull(levels, value), theta1, budgets)
 
-    tables, rounds = _induct(grid, round_costs, best_steps)
-    updates, go = zip(*rounds)
-    return DPPolicy(
-        horizon=horizon,
-        grid=grid,
-        costs=round_costs,
-        value_tables=tuple(tables),
-        updates=updates,
-        go=go,
-    )
+    tables, updates = _induct(grid, round_costs, best_steps)
+    policy = DPPolicy(grid, round_costs, tuple(tables), tuple(updates))
+    if 0.0 < policy.root_value < policy.precision_floor:
+        raise RuntimeError(
+            f"root value {policy.root_value!r} at theta1 {theta1!r} is below its "
+            f"precision floor {policy.precision_floor!r}"
+        )
+    return policy

@@ -309,7 +309,8 @@ def _solve_log_lambda(knots, log_slopes, theta: float, budgets: np.ndarray) -> n
         u[active] = step[moved]
     missed = ~(np.abs(residual) <= LAMBDA_REL_TOL * budgets)
     if missed.any():
-        worst = int(np.argmax(np.where(missed, np.abs(residual) / budgets, -np.inf)))
+        with np.errstate(over="ignore"):  # a subnormal budget's ratio is inf, the worst
+            worst = int(np.argmax(np.where(missed, np.abs(residual) / budgets, -np.inf)))
         raise RuntimeError(
             f"multiplier solve for budget {float(budgets[worst])} stopped at lambda "
             f"{math.exp(u_at[worst])!r} with residual {float(residual[worst])!r}, "

@@ -39,6 +39,7 @@ class EpisodeBatch:
 
     Per-round arrays have one column per round; license and cumulative
     columns are frozen at their exit values past an episode's tau.
+    ``costs`` has one entry per round, paid where ``indicators`` is set.
     ``evidence`` is the full (reps, horizon) matrix the simulator drew,
     including the cells of rounds that were not run; the evidence the
     episodes actually saw is ``evidence[indicators]``.
@@ -46,20 +47,20 @@ class EpisodeBatch:
 
     def __init__(
         self,
-        costs_paid: np.ndarray,
+        costs: np.ndarray,
         withdrawals: np.ndarray,
         indicators: np.ndarray,
         evidence: np.ndarray,
         licenses: np.ndarray,
         tau: np.ndarray,
     ):
-        self.costs_paid = costs_paid
+        self.costs = np.asarray(costs, dtype=float)
         self.withdrawals = withdrawals
         self.indicators = indicators
         self.evidence = evidence
         self.licenses = licenses
         self.tau = tau
-        self.total_cost = costs_paid.sum(axis=1)
+        self.total_cost = self.costs_paid.sum(axis=1)
         self.total_withdrawal = withdrawals.sum(axis=1)
         idx = np.arange(len(tau))
         last = np.maximum(tau - 1, 0)
@@ -67,8 +68,12 @@ class EpisodeBatch:
         self.profit = self.terminal_license + self.total_withdrawal - self.total_cost
 
     @property
+    def costs_paid(self) -> np.ndarray:
+        return self.indicators * self.costs
+
+    @property
     def horizon(self) -> int:
-        return self.costs_paid.shape[1]
+        return self.costs.size
 
     def __len__(self) -> int:
         return len(self.tau)
@@ -110,8 +115,7 @@ def simulate_policy(
         licenses[:, k] = level
         indicators[:, k] = active
         tau[active] = k + 1
-    costs = np.asarray(policy.costs)
-    return EpisodeBatch(indicators * costs, np.zeros((reps, T)), indicators, z, licenses, tau)
+    return EpisodeBatch(policy.costs, np.zeros((reps, T)), indicators, z, licenses, tau)
 
 
 class StrategyAction(NamedTuple):
@@ -173,7 +177,7 @@ def simulate_strategy(
             level[run] = (level[run] + costs[k]) * action.factor(z[run, k])
         licenses[:, k] = level
         tau[active] = k + 1
-    return EpisodeBatch(indicators * costs, withdrawals, indicators, z, licenses, tau)
+    return EpisodeBatch(costs, withdrawals, indicators, z, licenses, tau)
 
 
 def random_factor_license(rng: np.random.Generator) -> LicenseFn:
@@ -262,19 +266,15 @@ def supermartingale_check(
     """Estimate E[N(t)] per stage and E[N(tau)] on null-generated episodes.
 
     Passes when every estimate is at most three standard errors above zero;
-    a standard error needs at least two episodes. The costs argument
-    recomputes the paid-cost ledger from the indicators, the product both
-    simulators store, so a batch whose ledger differs in any bit is rejected.
+    a standard error needs at least two episodes. The episodes must have
+    been run at exactly the given round costs.
     """
     n = len(episodes)
     if n < 2:
         raise ValueError(f"need at least two episodes for a standard error, got {n}")
     costs = np.asarray(costs, dtype=float)
-    if costs.shape != (episodes.horizon,):
-        raise ValueError("need one round cost per stage")
-    implied = episodes.indicators * costs[np.newaxis, :]
-    if not np.array_equal(implied, episodes.costs_paid):
-        raise ValueError("episode cost ledger disagrees with the given costs")
+    if not np.array_equal(costs, episodes.costs):
+        raise ValueError(f"costs {costs.tolist()} are not the episodes' {episodes.costs.tolist()}")
     means, ses = mean_and_se(episodes.net_profit_paths())
     terminal_mean, terminal_se = map(float, mean_and_se(episodes.profit.copy()))
     passes = bool(np.all(means <= 3.0 * ses) and terminal_mean <= 3.0 * terminal_se)

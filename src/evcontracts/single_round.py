@@ -23,34 +23,32 @@ STATUS_QUO_LEVEL = 0.05
 
 @dataclass(frozen=True)
 class Contract:
-    """A menu plus the trial cost C and the market cap R, with R > C > 0."""
+    """A menu priced at the trial cost C, and the market cap R > C."""
 
     menu: Menu
-    cost: float
     cap: float
 
+    @property
+    def cost(self) -> float:
+        return self.menu.cost
+
     def __post_init__(self) -> None:
-        if not (self.cap > self.cost > 0.0):
-            raise ValueError(
-                f"need cap > cost > 0, got cost={self.cost}, cap={self.cap}"
-            )
-        if self.menu.cost != self.cost:
-            raise ValueError(
-                f"menu cost {self.menu.cost} disagrees with contract cost {self.cost}"
-            )
+        if not self.cap > self.cost:  # the menu checked cost > 0
+            raise ValueError(f"need cap > cost, got cost={self.cost}, cap={self.cap}")
 
 
 @dataclass(frozen=True)
 class AgentDecision:
-    opted_in: bool
     chosen_license: LicenseFn | None
     expected_profit: float
 
+    @property
+    def opted_in(self) -> bool:
+        return self.chosen_license is not None
+
     def __post_init__(self) -> None:
-        if not self.opted_in and (
-            self.chosen_license is not None or self.expected_profit != 0.0
-        ):
-            raise ValueError("an opted-out agent has no license and zero profit")
+        if not self.opted_in and self.expected_profit != 0.0:
+            raise ValueError("an opted-out agent has zero profit")
 
 
 def np_best_response(
@@ -100,12 +98,12 @@ def agent_decide(theta: float, contract: Contract) -> AgentDecision:
         # The argmax over all rescaled e-values is the closed-form
         # all-or-nothing license; null and negative types never profit.
         if theta <= 0.0:
-            return AgentDecision(False, None, 0.0)
+            return AgentDecision(None, 0.0)
         best = np_best_response(0.0, theta, contract.cost, contract.cap)
         profit = null_expectation(best, GaussianModel(theta)) - contract.cost
         if profit > 0.0:
-            return AgentDecision(True, best, profit)
-        return AgentDecision(False, None, 0.0)
+            return AgentDecision(best, profit)
+        return AgentDecision(None, 0.0)
 
     model = GaussianModel(theta)
     null = GaussianModel(0.0)
@@ -118,8 +116,8 @@ def agent_decide(theta: float, contract: Contract) -> AgentDecision:
         if value > best_value or (value == best_value and tie_break < best_null):
             best_f, best_value, best_null = f, value, tie_break
     if best_f is not None and best_value - contract.cost > 0.0:
-        return AgentDecision(True, best_f, best_value - contract.cost)
-    return AgentDecision(False, None, 0.0)
+        return AgentDecision(best_f, best_value - contract.cost)
+    return AgentDecision(None, 0.0)
 
 
 def posterior_null_share(

@@ -105,11 +105,11 @@ def expected_market_size(mixture: TypeMixture, contract: Contract) -> float:
 
 
 def aligned_contract(cost: float, cap: float) -> Contract:
-    return Contract(Menu.all_evalues(cost), cost, cap)
+    return Contract(Menu.all_evalues(cost), cap)
 
 
 def status_quo_contract(cost: float, cap: float) -> Contract:
-    return Contract(Menu.explicit([status_quo_license(cap)], cost), cost, cap)
+    return Contract(Menu.explicit([status_quo_license(cap)], cost), cap)
 
 
 def welfare_curve(

@@ -555,6 +555,28 @@ class TestMultiroundCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, params",
+        (
+            # the solves converge, but the root's profit, about 0.9 theta, is
+            # under what their tolerance resolves
+            ("theta_grid", ["theta_grid=1e-13"]),
+            ("theta_star", ["theta_grid=-0.5", "theta_star=1e-13"]),
+        ),
+    )
+    def test_root_below_its_precision_floor_exits_config(self, tmp_path, capsys, key, params):
+        out = tmp_path / "m"
+        argv = ["multiround", "--out", str(out), "--reps", "5",
+                "--param", "caps=1", "--param", "levels=10"]
+        for param in params:
+            argv += ["--param", param]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"bad values for '{key}' and 'cost': 1e-13 with cost 0.1 at cap 1" in err
+        assert "below its precision floor" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_theta_star_near_a_grid_effect_designs_its_own_cell(self, tmp_path):
         # theta_star 1e-13 away from the grid effect 1.645 is not that effect
         out = tmp_path / "m"

@@ -270,7 +270,7 @@ class TestExtremeEffects:
                 backward_induction(5, 0.1, 1e-300, LicenseGrid.from_cap(1.0, 5))
         assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
 
-    @pytest.mark.parametrize("theta", [1e-12, 1e-10, 1e-8, 1e-4, 1e-2])
+    @pytest.mark.parametrize("theta", [1e-11, 1e-10, 1e-8, 1e-4, 1e-2])
     def test_small_effect_solves_without_warnings(self, theta):
         # the stored u is the certified root itself: every continue-update
         # spends its budget, level plus cost, to the solver's tolerance
@@ -285,6 +285,71 @@ class TestExtremeEffects:
                 spend = null_expectation(policy.action(t, i), NULL)
                 budget = levels[i] + cost
                 assert abs(spend - budget) <= 2.0 * optimizer.LAMBDA_REL_TOL * budget
+
+    @pytest.mark.parametrize("theta", [1e-12, 1e-13, 1e-16])
+    def test_root_below_its_precision_floor_raises(self, theta):
+        # the profit is about 0.9 theta, under the floor of about 1.5e-12:
+        # 1e-12 times the costs paid, 0.1 to 0.5, summed over the rounds
+        with pytest.raises(RuntimeError, match=r"below its precision floor 1\.50000000000"):
+            backward_induction(5, 0.1, theta, LicenseGrid.from_cap(1.0, 10))
+
+    @pytest.mark.parametrize(
+        "horizon, cost, theta, cap, levels",
+        [(5, 0.1, 1e-11, 1.0, 10), (2, 1e-301, 1.645, 1.0, 5), (5, 1e-6, 1e-6, 1.0, 50),
+         (3, 0.001, 0.01, 1.0, 40), (3, 0.5, 0.3, 1.0, 40), (5, 0.1, 1.645, 1.0, 100)],
+    )
+    def test_floor_bounds_budgets_missed_by_the_tolerance(
+        self, monkeypatch, horizon, cost, theta, cap, levels
+    ):
+        # every update spending its budget times 1 +- LAMBDA_REL_TOL moves
+        # the root by no more than the floor the DP checks against
+        grid, tol = LicenseGrid.from_cap(cap, levels), optimizer.LAMBDA_REL_TOL
+        policy = backward_induction(horizon, cost, theta, grid)
+        root, floor = policy.root_value, policy.precision_floor
+        assert 0.0 < floor <= horizon * tol * (root + horizon * cost)
+        for factor in (1.0 - tol, 1.0 + tol):
+            with monkeypatch.context() as m:
+                m.setattr(dp, "optimal_steps",
+                          lambda v, t, b, f=factor: optimizer.optimal_steps(v, t, b * f))
+                moved = backward_induction(horizon, cost, theta, grid).root_value
+            assert abs(moved - root) <= floor
+
+    def test_unconverged_solve_at_a_subnormal_budget_raises_without_overflow(self):
+        # the message picks the worst residual relative to a 1e-320 budget
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="budget 1e-320 .* above the relative tolerance"):
+                backward_induction(3, 1e-320, 1e-300, LicenseGrid.from_cap(1.0, 10))
+        assert [str(w.message) for w in caught] == []
+
+
+class TestDerivedFields:
+    @pytest.mark.parametrize(
+        "horizon, cost, theta, cap",
+        [(5, 0.1, 1.645, 1.0), (3, 2.0, 1.0, 1.0), (5, 0.1, 30.0, 1.0),
+         (4, [0.05, 0.2, 0.1, 0.3], 0.5, 5.0), (3, 1e-301, 1.0, 1e-300)],
+        ids=("defaults", "all-stop", "theta-30", "per-round-costs", "cap-1e-300"),
+    )
+    def test_go_is_the_mask_the_induction_chose(self, horizon, cost, theta, cap):
+        # stop/continue is read off the value table: value > level exactly
+        # where the continuation beat the level
+        grid = LicenseGrid.from_cap(cap, 20)
+        policy = backward_induction(horizon, cost, theta, grid)
+        levels = grid.level_values()
+        costs = np.broadcast_to(cost, horizon)
+        assert policy.horizon == horizon == len(policy.go)
+        for t in range(1, horizon + 1):
+            hull = concave_monotone_hull(levels, policy.value_tables[t])
+            _, alt_values = optimizer.optimal_steps(hull, theta, levels + costs[t - 1])
+            np.testing.assert_array_equal(policy.go[t - 1], alt_values - costs[t - 1] > levels)
+
+    def test_horizon_and_go_are_not_constructor_fields(self):
+        policy = backward_induction(2, 0.1, 1.0, LicenseGrid.from_cap(1.0, 10))
+        with pytest.raises(TypeError):
+            dp.DPPolicy(2, policy.grid, policy.costs, policy.value_tables, policy.updates)
+        for name in ("horizon", "go"):
+            with pytest.raises(AttributeError):
+                setattr(policy, name, None)
 
 
 class TestValueTables:

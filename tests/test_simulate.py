@@ -260,6 +260,23 @@ class TestSupermartingale:
             with pytest.raises(ValueError):
                 supermartingale_check(episodes, [0.1 * cap] * 3)
 
+    def test_costs_of_a_round_no_replicate_ran_must_match(self):
+        # only stage 1 runs, so no episode paid the stage-4 cost; the batch
+        # still holds it, and a different one is rejected
+        strategy = SingleStageStrategy(stage=1, factor=LicenseFn([], [1.0]))
+        episodes = simulate_strategy(strategy, 4, COSTS, 0.0, 100, RandomStream(79, 0))
+        assert not episodes.indicators[:, 1:].any()
+        assert supermartingale_check(episodes, COSTS).passes
+        with pytest.raises(ValueError, match=r"are not the episodes' \[0.1, 0.1, 0.1, 0.1\]"):
+            supermartingale_check(episodes, [0.1, 0.1, 0.1, 0.2])
+
+    def test_costs_paid_is_derived_from_the_round_costs(self):
+        episodes = simulate_policy(POLICY, 1.2, 200, RandomStream(83, 0))
+        assert np.array_equal(episodes.costs, POLICY.costs)
+        assert np.array_equal(episodes.costs_paid, episodes.indicators * episodes.costs)
+        with pytest.raises(AttributeError):
+            episodes.costs_paid = np.zeros_like(episodes.costs_paid)
+
 
 class TestValidation:
     def test_reps_positive(self):

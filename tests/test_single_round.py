@@ -23,11 +23,11 @@ NULL = GaussianModel(0.0)
 
 
 def aligned(cost: float, cap: float) -> Contract:
-    return Contract(Menu.all_evalues(cost), cost, cap)
+    return Contract(Menu.all_evalues(cost), cap)
 
 
 def status_quo(cost: float, cap: float) -> Contract:
-    return Contract(Menu.explicit([status_quo_license(cap)], cost), cost, cap)
+    return Contract(Menu.explicit([status_quo_license(cap)], cost), cap)
 
 
 class TestNpBestResponse:
@@ -96,7 +96,7 @@ class TestExpectedLicense:
 class TestAgentDecide:
     def test_null_agent_aligned_menu_opts_out(self):
         decision = agent_decide(0.0, aligned(1.0, 20.0))
-        assert decision == AgentDecision(False, None, 0.0)
+        assert decision == AgentDecision(None, 0.0)
 
     def test_null_agent_exploits_loose_status_quo(self):
         # cap/cost = 50: approval mass 0.05 * 50 = 2.5 > 1
@@ -132,7 +132,7 @@ class TestAgentDecide:
     def test_explicit_menu_argmax(self):
         f_low = LicenseFn([0.0], [0.0, 1.0])
         f_high = LicenseFn([1.0], [0.0, 3.0])
-        contract = Contract(Menu.explicit([f_low, f_high], 0.3), 0.3, 3.0)
+        contract = Contract(Menu.explicit([f_low, f_high], 0.3), 3.0)
         decision = agent_decide(2.0, contract)
         assert decision.chosen_license == f_high
 
@@ -144,13 +144,13 @@ class TestAgentDecide:
         tied_constant = constant_license(
             null_expectation(step, GaussianModel(theta))
         )
-        contract = Contract(Menu.explicit([tied_constant, step], 0.5), 0.5, 3.0)
+        contract = Contract(Menu.explicit([tied_constant, step], 0.5), 3.0)
         decision = agent_decide(theta, contract)
         assert decision.chosen_license == step
 
     def test_opt_out_at_exact_zero_profit(self):
         # constant license equal to the cost: profit exactly zero, stay out
-        contract = Contract(Menu.explicit([constant_license(1.0)], 1.0), 1.0, 2.0)
+        contract = Contract(Menu.explicit([constant_license(1.0)], 1.0), 2.0)
         assert not agent_decide(1.0, contract).opted_in
 
 
@@ -223,7 +223,7 @@ class TestProperties:
                 continue
             values = np.cumsum(rng.uniform(0.0, cap / 2, 3))
             menu = Menu.explicit([LicenseFn(breaks, values)], cost)
-            contract = Contract(menu, cost, cap)
+            contract = Contract(menu, cap)
             decision = agent_decide(0.0, contract)
             best_mass = null_expectation(menu.licenses[0], NULL)
             assert decision.opted_in == (best_mass > cost)
@@ -231,11 +231,23 @@ class TestProperties:
 
 class TestContract:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            Contract(Menu.all_evalues(1.0), 1.0, 1.0)  # cap must exceed cost
-        with pytest.raises(ValueError):
-            Contract(Menu.all_evalues(2.0), 1.0, 5.0)  # menu cost mismatch
+        # the cap must exceed the menu's cost; the message names both
+        for cap in (1.0, 0.5, math.nan):
+            with pytest.raises(ValueError, match=rf"need cap > cost, got cost=1.0, cap={cap}"):
+                Contract(Menu.all_evalues(1.0), cap)
+
+    def test_cost_is_the_menu_cost(self):
+        contract = Contract(Menu.all_evalues(0.3), 3.0)
+        assert contract.cost == 0.3
+        with pytest.raises(AttributeError):
+            contract.cost = 0.4
+        with pytest.raises(TypeError):
+            Contract(Menu.all_evalues(0.3), 0.3, 3.0)  # no second copy of the cost
 
     def test_decision_invariant(self):
         with pytest.raises(ValueError):
-            AgentDecision(False, None, 1.0)
+            AgentDecision(None, 1.0)
+        assert AgentDecision(constant_license(1.0), 0.5).opted_in
+        assert not AgentDecision(None, 0.0).opted_in
+        with pytest.raises(AttributeError):
+            AgentDecision(None, 0.0).opted_in = True

@@ -117,7 +117,7 @@ class TestManyNullsLimit:
             values = np.cumsum(rng.uniform(0.0, cap / 2, 3))
             f = LicenseFn(breaks, values)
             menu = Menu.explicit([f], cost)
-            contract = Contract(menu, cost, cap)
+            contract = Contract(menu, cap)
             if null_expectation(f, NULL) <= cost:
                 continue
             found += 1
@@ -155,7 +155,7 @@ class TestLinearUtilityOptimality:
                 licenses.append(f)
             if not licenses:
                 continue
-            explicit = Contract(Menu.explicit(licenses, cost), cost, cap)
+            explicit = Contract(Menu.explicit(licenses, cost), cap)
             pi0 = rng.uniform(0.0, 1.0)
             theta1 = rng.uniform(0.1, 2.5)
             mixture = TypeMixture([(0.0, pi0), (theta1, 1.0 - pi0)])
