@@ -13,6 +13,7 @@ same grid checks the recursion itself, not a copy of it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Sequence
@@ -28,10 +29,12 @@ _FEASIBILITY_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class DiscretizedEvidence:
-    """Evidence z binned into cells around a fixed grid of points.
+    """Evidence z binned into cells around a fixed grid of finite points.
 
-    Cell boundaries are the midpoints between consecutive grid points, with
-    unbounded first and last cells.
+    Cell boundaries (edges) are the midpoints between consecutive grid
+    points, with unbounded first and last cells. discrete_root_value needs
+    only the normal tails at the edges: the chance of reaching cell j or
+    beyond is the tail at the edge below it.
     """
 
     z_points: tuple[float, ...]
@@ -40,26 +43,11 @@ class DiscretizedEvidence:
         pts = tuple(float(z) for z in z_points)
         if len(pts) < 2:
             raise ValueError("need at least two evidence points")
+        if not all(math.isfinite(z) for z in pts):
+            raise ValueError(f"evidence points must be finite, got {pts}")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("evidence points must be strictly increasing")
         object.__setattr__(self, "z_points", pts)
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.z_points)
-
-    def edges(self) -> np.ndarray:
-        pts = np.asarray(self.z_points)
-        return (pts[:-1] + pts[1:]) / 2.0
-
-    def cell_probabilities(self, mean: float) -> np.ndarray:
-        """P(Z in cell) for Z ~ N(mean, 1), one entry per cell."""
-        tails = upper_tail_np(self.edges() - mean)
-        probs = np.empty(self.n_cells)
-        probs[0] = 1.0 - tails[0]
-        probs[1:-1] = tails[:-1] - tails[1:]
-        probs[-1] = tails[-1]
-        return probs
 
 
 def discrete_root_value(
@@ -80,14 +68,16 @@ def discrete_root_value(
     probabilities under the alternative do not depend on the round, so they
     are built once.
     """
+    if math.isnan(theta1):
+        raise ValueError("theta1 must not be NaN")
     round_costs = _round_costs(cost, horizon)
-    # Suffix sums indexed by jump position: S[j] = P(cell >= j); S[n] = 0.
-    s0, s1 = (
-        np.concatenate((np.cumsum(p[::-1])[::-1], [0.0]))
-        for p in (evidence.cell_probabilities(0.0), evidence.cell_probabilities(theta1))
-    )
+    # Level-reach tails indexed by jump position j in {0..n}: S[j] = P(cell >= j),
+    # 1 at j = 0, the tail at the edge below cell j inside, 0 at j = n.
+    pts = np.asarray(evidence.z_points)
+    edges = (pts[:-1] + pts[1:]) / 2.0
+    s0, s1 = (np.concatenate(([1.0], upper_tail_np(edges - mean), [0.0])) for mean in (0.0, theta1))
     # every update as its sorted K-tuple of jump positions in {0..n}
-    jumps = combinations_with_replacement(range(evidence.n_cells + 1), grid.levels)
+    jumps = combinations_with_replacement(range(s0.size), grid.levels)
     combos = np.array(list(jumps), dtype=np.int64)
     # The all-(n)-jumps row (constant zero update) spends nothing, so every
     # budget has a feasible update.

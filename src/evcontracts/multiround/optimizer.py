@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,10 +71,12 @@ class LicenseGrid:
     levels: int
 
     def __post_init__(self) -> None:
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.levels < 1:
-            raise ValueError(f"need at least one level, got {self.levels}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if not isinstance(self.levels, numbers.Integral) or self.levels < 1:
+            raise ValueError(f"levels must be an integer >= 1, got {self.levels!r}")
+        if not self.cap < math.inf:
+            raise ValueError(f"levels * epsilon must be finite, got {self.levels} * {self.epsilon}")
 
     @property
     def cap(self) -> float:
@@ -88,7 +91,8 @@ class LicenseGrid:
 
 
 def _positive_slope_prefix(v: PLCValue) -> tuple[np.ndarray, np.ndarray]:
-    """(knot values, slopes) of the knots actually reachable by the optimizer.
+    """(knot values, log left slopes) of the knots actually reachable by the
+    optimizer; every caller prices breakpoints, which need the log-slopes.
 
     Slopes are nonincreasing, so nonpositive slopes form a suffix; knots
     behind a zero slope are never selected (the price can never be beaten)
@@ -97,7 +101,7 @@ def _positive_slope_prefix(v: PLCValue) -> tuple[np.ndarray, np.ndarray]:
     """
     slopes = v.left_slopes()
     keep = int(np.searchsorted(-slopes, 0.0, side="left"))
-    return v.knots[1 : keep + 1], slopes[:keep]
+    return v.knots[1 : keep + 1], np.log(slopes[:keep])
 
 
 def _breakpoints(log_slopes, u, theta: float):
@@ -121,9 +125,9 @@ def _spend_slope(increments: np.ndarray, y: np.ndarray, theta: float) -> np.ndar
 
 
 def _alternative_values(v: PLCValue, n_knots: int, y: np.ndarray, theta: float) -> np.ndarray:
-    """E_theta[v(update)] of each row's update with breakpoints y."""
-    value_steps = np.diff(v.values[: n_knots + 1])
-    return float(v.values[0]) + (value_steps * upper_tail_np(y - theta)).sum(axis=1)
+    """E_theta[v(update)] of each row's update with breakpoints y: the value
+    steps priced by _spend at the breakpoints shifted by -theta."""
+    return float(v.values[0]) + _spend(np.diff(v.values[: n_knots + 1]), y - theta)
 
 
 def null_expectation_of_update(v: PLCValue, lam: float, theta: float) -> float:
@@ -132,10 +136,10 @@ def null_expectation_of_update(v: PLCValue, lam: float, theta: float) -> float:
         raise ValueError(f"theta must be positive, got {theta}")
     if not lam > 0.0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    knots, slopes = _positive_slope_prefix(v)
+    knots, log_slopes = _positive_slope_prefix(v)
     if knots.size == 0:
         return 0.0
-    y = _breakpoints(np.log(slopes), np.array([[math.log(lam)]]), theta)
+    y = _breakpoints(log_slopes, np.array([[math.log(lam)]]), theta)
     return float(_spend(np.diff(knots, prepend=0.0), y)[0])
 
 
@@ -208,8 +212,7 @@ def solve_lambda(v: PLCValue, theta: float, budget):
     """Multiplier exp(u) whose update spends the null budget exactly, u the root
     _solve_log_lambda certifies; the result has the shape of ``budget``."""
     budgets = _checked_budgets(theta, np.atleast_1d(budget))
-    knots, slopes = _positive_slope_prefix(v)
-    lam = np.exp(_solve_log_lambda(knots, np.log(slopes), theta, budgets))
+    lam = np.exp(_solve_log_lambda(*_positive_slope_prefix(v), theta, budgets))
     return float(lam[0]) if np.ndim(budget) == 0 else lam
 
 
@@ -381,13 +384,12 @@ def optimal_steps(
     reachable knot gets the constant top update, with slack budget.
     """
     budgets = _checked_budgets(theta1, budgets)
-    knots, slopes = _positive_slope_prefix(value)
-    log_slopes = np.log(slopes)
+    knots, log_slopes = _positive_slope_prefix(value)
     # A flat value function has no knot worth buying: it never spends.
     top = float(knots[-1]) if knots.size else 0.0
     u = np.full(budgets.size, -math.inf)
     alt_values = np.full(budgets.size, float(value(top)))
-    inner = np.flatnonzero(budgets < top * (1.0 - 1e-12))
+    inner = np.flatnonzero(budgets < top * (1.0 - LAMBDA_REL_TOL))
     if inner.size:
         u[inner] = _solve_log_lambda(knots, log_slopes, theta1, budgets[inner])
         y = _breakpoints(log_slopes, u[inner, None], theta1)

@@ -38,7 +38,9 @@ class EpisodeBatch:
     """Columnar storage for many episodes: one row per episode.
 
     Per-round arrays have one column per round; license and cumulative
-    columns are frozen at their exit values past an episode's tau.
+    columns are frozen at their exit values past an episode's tau, so the
+    terminal license is the last license column (0 for an episode that
+    stopped before round 1).
     ``costs`` has one entry per round, paid where ``indicators`` is set.
     ``evidence`` is the full (reps, horizon) matrix the simulator drew,
     including the cells of rounds that were not run; the evidence the
@@ -62,18 +64,12 @@ class EpisodeBatch:
         self.tau = tau
         self.total_cost = self.costs_paid.sum(axis=1)
         self.total_withdrawal = withdrawals.sum(axis=1)
-        idx = np.arange(len(tau))
-        last = np.maximum(tau - 1, 0)
-        self.terminal_license = np.where(tau > 0, licenses[idx, last], 0.0)
+        self.terminal_license = licenses[:, -1]
         self.profit = self.terminal_license + self.total_withdrawal - self.total_cost
 
     @property
     def costs_paid(self) -> np.ndarray:
         return self.indicators * self.costs
-
-    @property
-    def horizon(self) -> int:
-        return self.costs.size
 
     def __len__(self) -> int:
         return len(self.tau)

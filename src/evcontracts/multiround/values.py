@@ -27,7 +27,8 @@ def _read_only(xs) -> np.ndarray:
 class PLCValue:
     """Concave nondecreasing piecewise-linear function on [0, knots[-1]].
 
-    Knots are strictly increasing with knots[0] == 0; values are
+    Knots and values are finite (a NaN or inf would slip past the order
+    checks). Knots are strictly increasing with knots[0] == 0; values are
     nondecreasing with nonincreasing left slopes. The implicit left slope at
     the origin is +infinity, so the origin is always an admissible support
     point of an optimizer built on this function. ``knots``, ``values`` and
@@ -42,6 +43,8 @@ class PLCValue:
         values = _read_only(values)
         if knots.ndim != 1 or knots.shape != values.shape or knots.size == 0:
             raise ValueError("need one value per knot and at least one knot")
+        if not (np.isfinite(knots).all() and np.isfinite(values).all()):
+            raise ValueError("knots and values must be finite")
         if knots[0] != 0.0:
             raise ValueError(f"first knot must be 0, got {knots[0]}")
         if np.any(knots[1:] <= knots[:-1]):

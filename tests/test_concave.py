@@ -138,6 +138,25 @@ class TestPLCValue:
         with pytest.raises(ValueError):
             PLCValue([0.0, 1.0, 2.0], [0.0, 0.5, 2.0])  # convex corner
 
+    @pytest.mark.parametrize(
+        "knots, values",
+        (
+            ([0.0, 1.0, 2.0], [0.0, 0.5, np.nan]),
+            ([0.0, 1.0, 2.0], [0.0, np.nan, 1.0]),
+            ([0.0, 1.0, np.inf], [0.0, 0.5, 1.0]),
+            ([0.0, np.nan, 2.0], [0.0, 0.5, 1.0]),
+            ([0.0, 1.0, 2.0], [0.0, 0.5, np.inf]),
+        ),
+    )
+    def test_non_finite_knots_and_values_rejected(self, knots, values):
+        # a NaN slope fails every comparison, so only a finiteness check stops it
+        with pytest.raises(ValueError, match="knots and values must be finite"):
+            PLCValue(knots, values)
+
+    def test_hull_of_a_nan_table_rejected(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            concave_monotone_hull([0.0, 1.0, 2.0], [0.0, np.nan, 1.0])
+
     def test_interp_and_slopes(self):
         v = PLCValue([0.0, 1.0, 3.0], [0.0, 2.0, 3.0])
         assert list(v.left_slopes()) == [2.0, 0.5]

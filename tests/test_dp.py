@@ -514,6 +514,26 @@ class TestDiscreteEvidenceMode:
         swapped = discrete_root_value(2, [0.2, 0.05], 1.0, grid, evidence)
         assert swapped != pytest.approx(root, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "theta, z_points",
+        (
+            (math.nan, [-1.0, 0.0, 1.0]),
+            (1.0, [-1.0, math.nan, 1.0]),
+            (1.0, [-1.0, 0.0, math.inf]),
+            (1.0, [-math.inf, 0.0, 1.0]),
+        ),
+    )
+    def test_nan_effect_and_non_finite_points_rejected(self, theta, z_points):
+        # each once gave a root of 0.0
+        grid = LicenseGrid.from_cap(1.0, 3)
+        with pytest.raises(ValueError, match="NaN|finite"):
+            discrete_root_value(2, 0.1, theta, grid, DiscretizedEvidence(z_points))
+
+    @pytest.mark.parametrize("theta", (0.0, -1.0))
+    def test_null_or_negative_effect_is_worth_nothing(self, theta):
+        evidence = DiscretizedEvidence(np.linspace(-3.0, 3.0, 9))
+        assert discrete_root_value(2, 0.1, theta, LicenseGrid.from_cap(1.0, 3), evidence) == 0.0
+
     def test_discrete_below_analytic(self):
         # restricting evidence to cells can only lose value
         grid = LicenseGrid.from_cap(1.0, 5)

@@ -199,6 +199,13 @@ class TestSolveLambda:
         with pytest.raises(ValueError):
             solve_lambda(v, 1.0, 0.0)
 
+    def test_solvers_reject_a_nan_value(self):
+        # a NaN slope passes the order checks, so these once priced it
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_lambda(PLCValue([0.0, 1.0, 2.0], [0.0, 0.5, math.nan]), 1.0, 0.5)
+        with pytest.raises(ValueError, match="must be finite"):
+            optimal_steps(PLCValue([0.0, 1.0, 2.0], [0.0, math.nan, 1.0]), 1.0, [0.5])
+
     def test_spend_saturating_below_the_budget_is_infeasible(self):
         # these increments sum to one ulp below the top knot, so no spend,
         # even one saturated in floating point, reaches a budget at the top
@@ -265,9 +272,11 @@ class TestSolveLambda:
             assert null_expectation_of_update(v, lam, theta) == pytest.approx(budget, rel=1e-11)
 
     def test_fine_grid_round_is_certified_in_one_pass(self, monkeypatch):
-        # each round: the lattice table, the fit cells' nodes (far fewer rows
-        # than levels), then one exact pass over the 392 levels below the cap,
-        # and no slope pass, so no level takes a Newton step
+        # each round makes four passes through the one tail-sum kernel: the
+        # lattice table, the fit cells' nodes (far fewer rows than levels),
+        # the certify pass over the 392 levels below the cap, and the score
+        # of those levels under the alternative; no slope pass, so no level
+        # takes a Newton step
         rows, slopes = [], []
         spend, spend_slope = optimizer._spend, optimizer._spend_slope
 
@@ -282,8 +291,8 @@ class TestSolveLambda:
         monkeypatch.setattr(optimizer, "_spend", counted)
         monkeypatch.setattr(optimizer, "_spend_slope", counted_slope)
         backward_induction(5, 0.1, 1.0, LicenseGrid.from_cap(5.0, 400))
-        assert len(rows) == 15 and rows[2::3] == [392] * 5
-        assert max(rows[0::3] + rows[1::3]) < 392 / 3
+        assert len(rows) == 20 and rows[2::4] == rows[3::4] == [392] * 5
+        assert max(rows[0::4] + rows[1::4]) < 392 / 3
         assert slopes == []
 
     def test_missed_roots_are_priced_once(self, monkeypatch):
@@ -523,6 +532,25 @@ class TestGridAndUpdateTypes:
             LicenseGrid(0.0, 10)
         with pytest.raises(ValueError):
             LicenseGrid(0.1, 0)
+
+    @pytest.mark.parametrize(
+        "epsilon, levels, field",
+        (
+            (0.5, 2.5, "levels"),  # cap 1.25, but the levels would reach 1.5
+            (0.5, 2.0, "levels"),
+            (math.inf, 2, "epsilon"),
+            (math.nan, 2, "epsilon"),
+            (-0.5, 2, "epsilon"),
+            (1e308, 10, r"levels \* epsilon"),  # the top level overflows
+        ),
+    )
+    def test_grid_it_cannot_build_names_the_field(self, epsilon, levels, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            LicenseGrid(epsilon, levels)
+
+    def test_grid_rejects_a_fractional_level_count_before_the_dp(self):
+        with pytest.raises(ValueError, match="levels must be an integer"):
+            backward_induction(2, 0.1, 1.0, LicenseGrid(0.5, 2.5))
 
     def test_grid_roundtrip(self):
         grid = LicenseGrid.from_cap(5.0, 100)

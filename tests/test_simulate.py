@@ -214,6 +214,51 @@ class TestSimulateStrategy:
             assert null_expectation(f, NULL) == pytest.approx(1.0, abs=1e-9)
 
 
+def gathered_terminal_license(episodes):
+    """The license at each episode's last round, licenses[r, tau - 1], and 0
+    for an episode that stopped before round 1."""
+    last = np.maximum(episodes.tau - 1, 0)
+    held = episodes.licenses[np.arange(len(episodes)), last]
+    return np.where(episodes.tau > 0, held, 0.0)
+
+
+class TestTerminalLicense:
+    # the license columns freeze past tau, so the last column is the gather
+
+    @pytest.mark.parametrize(
+        "policy",
+        (POLICY, backward_induction(3, 1.5, 1.0, LicenseGrid.from_cap(1.0, 20))),
+        ids=("policy", "stops-before-round-1"),
+    )
+    def test_policy_terminal_license_is_the_gathered_one(self, policy):
+        episodes = simulate_policy(policy, 1.2, 500, RandomStream(89, 0))
+        assert np.array_equal(episodes.terminal_license, gathered_terminal_license(episodes))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_strategy_terminal_license_is_the_gathered_one(self, seed):
+        rng = np.random.default_rng(seed)
+        strategy = RandomizedAlignedStrategy(
+            factors=tuple(random_factor_license(rng) for _ in range(4)),
+            stop_probs=(0.3, 0.2, 0.3, 0.4),
+            withdraw_probs=(0.9,) * 4,
+            withdraw_fracs=(0.5,) * 4,
+            run_probs=(0.7,) * 4,
+        )
+        episodes = simulate_strategy(strategy, 4, COSTS, 0.5, 500, RandomStream(97, seed))
+        # replicates stopping before round 1, before the last round and never
+        tau = episodes.tau
+        assert (tau == 0).any() and ((tau > 0) & (tau < 4)).any() and (tau == 4).any()
+        assert (episodes.withdrawals[tau < 4] > 0.0).any()
+        assert np.array_equal(episodes.terminal_license, gathered_terminal_license(episodes))
+
+    def test_single_stage_strategy_terminal_license_is_the_gathered_one(self):
+        factor = random_factor_license(np.random.default_rng(67))
+        strategy = SingleStageStrategy(stage=2, factor=factor)
+        episodes = simulate_strategy(strategy, 4, COSTS, 0.5, 300, RandomStream(71, 1))
+        assert np.all(episodes.tau == 2)
+        assert np.array_equal(episodes.terminal_license, gathered_terminal_license(episodes))
+
+
 class TestSupermartingale:
     def test_dp_policy_under_null_passes(self):
         episodes = simulate_policy(POLICY, 0.0, 30_000, RandomStream(53, 0))
