@@ -238,10 +238,13 @@ def resolve_config(
     return ExperimentConfig(experiment, merged, output_dir)
 
 
+_FLOATS = (float, np.floating)
+
+
 def _cell(v) -> str:
     """One CSV field: 12 significant digits for a float, str for anything
     else (bools, integers, labels, verdicts)."""
-    return f"{v:.12g}" if isinstance(v, (float, np.floating)) else str(v)
+    return f"{v:.12g}" if isinstance(v, _FLOATS) else str(v)
 
 
 def _format_value(value) -> str:
@@ -252,9 +255,28 @@ def _format_value(value) -> str:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """Comma-separated, header row, LF endings, 12 significant digits."""
+    """Comma-separated, header row, LF endings; each cell is ``_cell(v)``:
+    ``%.12g`` (12 significant digits) for a float or numpy float, ``str``
+    for anything else.
+
+    Each column's format is chosen once from the types of its cells, so a
+    row is one ``%`` formatting; a column that mixes floats with other types
+    goes through ``_cell`` cell by cell. Every row must have one cell per
+    header field (ValueError otherwise, before the file is opened).
+    """
+    if set(map(len, rows)) - {len(header)}:
+        raise ValueError(f"every row of {path.name} must have {len(header)} cells")
+    columns = list(zip(*rows))
+    # per column: {True} all floats, {False} none, {True, False} mixed
+    kinds = [{issubclass(t, _FLOATS) for t in set(map(type, c))} for c in columns]
+    if {True, False} in kinds:
+        rows = list(zip(*(
+            map(_cell, c) if k == {True, False} else c for c, k in zip(columns, kinds)
+        )))
+    del columns  # before the text is built: that is the writer's peak memory
+    template = ",".join("%.12g" if k == {True} else "%s" for k in kinds) + "\n"
     text = ",".join(header) + "\n"
-    text += "".join(",".join(map(_cell, row)) + "\n" for row in rows)
+    text += "".join([template % tuple(row) for row in rows])
     path.write_text(text, encoding="utf-8")
 
 

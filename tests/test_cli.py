@@ -621,7 +621,8 @@ class TestMultiroundCommand:
         # and again when it began to store the solver's log multiplier as
         # solved rather than log(exp(u)) (last-digit moves);
         # test_dp.py::TestPolicyExport checks that every update rebuilt from
-        # the file equals the solver's.
+        # the file equals the solver's. The two profit plots and the
+        # rounds-used table complete the run's outputs (all but the manifest).
         out = tmp_path / "m"
         code = main(
             ["multiround", "--out", str(out), "--reps", "200",
@@ -636,6 +637,9 @@ class TestMultiroundCommand:
                 "multiround_episodes.csv",
                 "multiround_profit_cap1.csv",
                 "multiround_profit_cap5.csv",
+                "multiround_profit_cap1.svg",
+                "multiround_profit_cap5.svg",
+                "multiround_rounds.csv",
                 "multiround_terminal.csv",
             )
         }
@@ -648,6 +652,12 @@ class TestMultiroundCommand:
                 "bc4058ca6a1052ca61dbb0c4159f0eb602eac7122f7222685b439a132570d47c",
             "multiround_profit_cap5.csv":
                 "199ddba17e959ae64e896e4f5907548e24a6373b391f8133d8ffc49f49748318",
+            "multiround_profit_cap1.svg":
+                "90c28da2e3cac40d90f1c760ed358bd858321ab64ee66282f4c84116ac896d8b",
+            "multiround_profit_cap5.svg":
+                "a87044feabbaf8350c0172674188014adf567b84b974d88dd56a653a6d9f164b",
+            "multiround_rounds.csv":
+                "3a19e3e498f9720c202d25cfff5ef86e164c396cb68179e98d1c9a9a724d4ec8",
             "multiround_terminal.csv":
                 "288e87056c3a0c260d1de12917116bbefb5d08b3a5c1bc7bd07d50277f934382",
         }
