@@ -536,16 +536,16 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
     for i, (cap, theta1) in enumerate(cells):
         cell = _multiround_cell(config, cap, theta1, i)
         _, episodes, one, five = cell
+        row = (theta1,)
+        for x, paid in ((episodes.profit, 0.0), (one, cost), (five, T * cost)):
+            mean, se = mean_and_se(x.copy())
+            row += (float(mean) - paid, float(se))
         if i < n_grid:
-            row = [theta1]
-            for x, paid in ((episodes.profit, 0.0), (one, cost), (five, T * cost)):
-                mean, se = mean_and_se(x.copy())
-                row += [float(mean) - paid, float(se)]
-            curve_summaries[cap].append(tuple(row))
+            curve_summaries[cap].append(row)
         if (cap, theta1) == star:
-            star_cell = cell
+            star_row, star_cell = row, cell
 
-    outputs, star_summary = _star_outputs(T * cost, *star_cell)
+    outputs, star_summary = _star_outputs(star_row, *star_cell)
     for cap, rows in curve_summaries.items():
         theta, multi, _, single, _, pooled, _ = zip(*rows)
         outputs += [
@@ -561,16 +561,16 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
     return _write_outputs(config, outputs, summary)
 
 
-def _star_outputs(pooled_cost: float, policy, episodes, one, five) -> tuple[list, dict]:
+def _star_outputs(row: tuple, policy, episodes, one, five) -> tuple[list, dict]:
     """Terminal-license and rounds-used distributions at the focal effect,
     plus the full policy table and per-episode ledger, and their summary.
-    ``one`` and ``five`` are the one-round references' license payouts;
-    the pooled agent paid ``pooled_cost`` upfront."""
-    values, counts = np.unique(episodes.terminal_license, return_counts=True)
-    terminal = [("multi_round", v, c) for v, c in zip(values, counts)]
-    for name, payouts in (("one_round", one), ("five_data", five)):
-        vals, cnts = np.unique(payouts, return_counts=True)
-        terminal += [(name, v, c) for v, c in zip(vals, cnts)]
+    ``row`` is the focal cell's curve row, its mean profits net of costs;
+    ``one`` and ``five`` are the one-round references' license payouts."""
+    terminal = []
+    for name, payouts in (("multi_round", episodes.terminal_license),
+                          ("one_round", one), ("five_data", five)):
+        values, counts = np.unique(payouts, return_counts=True)
+        terminal += [(name, v, c) for v, c in zip(values, counts)]
     taus, tau_counts = np.unique(episodes.tau, return_counts=True)
     outputs = [
         ("multiround_terminal.csv", write_csv,
@@ -582,13 +582,12 @@ def _star_outputs(pooled_cost: float, policy, episodes, one, five) -> tuple[list
          ["rep", "tau", "terminal_license", "total_cost", "profit"],
          episodes_to_csv_rows(episodes)),
     ]
-    means = [float(mean_and_se(x.copy())[0]) for x in (episodes.total_cost, episodes.profit, five)]
     summary = {
         "p_terminal_cap": float(np.mean(episodes.terminal_license == policy.grid.cap)),
         "mean_rounds": float(episodes.tau.mean()),
-        "mean_total_cost": means[0],
-        "mean_profit_multi": means[1],
-        "mean_profit_five_data": means[2] - pooled_cost,
+        "mean_total_cost": float(mean_and_se(episodes.total_cost.copy())[0]),
+        "mean_profit_multi": row[1],
+        "mean_profit_five_data": row[5],
     }
     return outputs, summary
 

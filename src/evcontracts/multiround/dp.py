@@ -25,6 +25,10 @@ from ..licenses import LicenseFn
 from .optimizer import LAMBDA_REL_TOL, LicenseGrid, StepBatch, optimal_steps
 from .values import concave_monotone_hull
 
+# ulps a round that bound the float rounding of its values; counted up in
+# DPPolicy.precision_floor
+ROUNDING_ULPS = 8
+
 
 @dataclass(frozen=True)
 class DPPolicy:
@@ -56,8 +60,9 @@ class DPPolicy:
 
     @property
     def precision_floor(self) -> float:
-        """First-order bound on the root's error from the multiplier tolerance;
-        float rounding, about eps times the budgets, comes on top.
+        """Bound on the root's error: the multiplier tolerance to first
+        order, plus ROUNDING_ULPS ulps a round for float rounding. Scaling
+        cap and cost by 2^k scales it by exactly 2^k.
 
         An update meets its budget B only to LAMBDA_REL_TOL·B, which moves its
         expected value V(B) by at most LAMBDA_REL_TOL·lambda·B: its multiplier
@@ -66,11 +71,34 @@ class DPPolicy:
         LAMBDA_REL_TOL times the mean of lambda·B along the policy. That mean
         is at most the round's largest lambda·B and, as lambda·B <= V(B) -
         V(0), at most the root plus the costs of rounds 1..t.
+
+        Rounding passes on the same way. A solved level's continuation is
+        made of the alternative value, a sum of value steps times normal
+        tails, v(0) added to it and the cost taken off it; none exceeds m,
+        the level's value plus the cost, so each rounding on the way errs by
+        at most half an ulp of m. Eight ulps of m count three for the tails
+        (erfc's relative error and its argument's rounding), one for the
+        products, three for the pairwise additions of the step sum and one
+        for adding v(0) and taking off the cost. That is an estimate, not a
+        worst case: the step sum's error grows, slowly, with the number of
+        knots. m is at most the round's largest solved budget and its mean
+        along the policy at most the root plus the costs of rounds 1..t, so
+        round t adds ROUNDING_ULPS ulps of the smaller of the two. A level
+        whose budget buys the constant top update (u = -inf) reads the top
+        value as is and only takes the cost off it, exactly when the cost is
+        at least half that value and otherwise with a relative error of half
+        an ulp; a round with no solved level adds nothing.
         """
         levels = self.grid.level_values()
-        spent = [(np.exp(b.u) * (levels + c)).max() for b, c in zip(self.updates, self.costs)]
+        budgets = [levels + c for c in self.costs]
+        spent = [(np.exp(b.u) * B).max() for b, B in zip(self.updates, budgets)]
+        # each round's largest budget whose update was solved, 0 where none was
+        solved = np.array([B[b.u > -np.inf].max(initial=0.0)
+                           for b, B in zip(self.updates, budgets)])
         paid = self.root_value + np.cumsum(self.costs)
-        return LAMBDA_REL_TOL * float(np.minimum(spent, paid).sum())
+        tolerance = LAMBDA_REL_TOL * float(np.minimum(spent, paid).sum())
+        rounding = ROUNDING_ULPS * float(np.spacing(np.minimum(solved, paid))[solved > 0.0].sum())
+        return tolerance + rounding
 
     def action(self, t: int, level_index: int) -> LicenseFn | None:
         """Update chosen in round t (1-based) at the given level, None = stop."""

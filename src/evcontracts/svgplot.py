@@ -2,7 +2,9 @@
 
 Figures emitted by the CLI are presentation-only; this avoids a charting
 dependency. Supports several line series with a legend, axis ticks, and
-automatic ranges. Deterministic output: same input, same bytes.
+automatic ranges. Deterministic output: same input, same bytes. Each text
+element is written by ``_text``, which fixes the font family and is the one
+place text is XML-escaped; each tick, zero line and legend key by ``_line``.
 """
 
 from __future__ import annotations
@@ -18,28 +20,23 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _WIDTH, _HEIGHT = 720, 460
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 30, 40, 55
+_TICK_INTERVALS = 5  # an axis range over this, rounded up, is the tick step
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    raw = (hi - lo) / n
+def _ticks(lo: float, hi: float) -> list[float]:
+    raw = (hi - lo) / _TICK_INTERVALS
     if not sys.float_info.min <= raw < math.inf:  # no decimal step to find
         return [lo]
     mag = 10.0 ** math.floor(math.log10(raw))
     step = min(s for s in (1 * mag, 2 * mag, 5 * mag, 10 * mag) if s >= raw)
-    first = math.ceil(lo / step) * step
-    out = []
-    value = first
-    # at most n + 1 ticks fit, also where adding a step changes nothing
-    for _ in range(n + 1):
+    out, value = [], math.ceil(lo / step) * step
+    # at most one tick per interval end, also where adding a step changes nothing
+    for _ in range(_TICK_INTERVALS + 1):
         if value > hi + 1e-12 * step:
             break
         out.append(0.0 if abs(value) < 1e-12 * step else value)
         value += step
     return out
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
 
 
 def _escape(text: str) -> str:
@@ -52,6 +49,18 @@ def _escape(text: str) -> str:
 # Points formatted per call: bounds the temporary tuple of floats and the
 # format string, which for a whole 20 001-point series raise the peak memory.
 _CHUNK = 4096
+
+
+def _text(x, y, size: int, body: str, anchor: str | None = "middle", transform: str = "") -> str:
+    """A <text> element in the plot's font family; ``body`` is XML-escaped."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    transform = f' transform="{transform}"' if transform else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{transform}>{_escape(body)}</text>')
+
+
+def _line(x1, y1, x2, y2, style: str) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" {style}/>'
 
 
 def _points(px: np.ndarray, py: np.ndarray) -> str:
@@ -87,12 +96,13 @@ def render_lines(
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError(f"series {name!r} has a non-finite point")
         arrays.append((name, xs, ys))
-    if not any(xs.size for _, xs, _ in arrays):
+    all_xs = np.concatenate([np.empty(0), *(xs for _, xs, _ in arrays)])
+    all_ys = np.concatenate([np.empty(0), *(ys for _, _, ys in arrays)])
+    if not all_xs.size:
         raise ValueError("nothing to plot")
-    x_lo = min(float(xs.min()) for _, xs, _ in arrays if xs.size)
-    x_hi = max(float(xs.max()) for _, xs, _ in arrays if xs.size)
-    y_lo = min(float(ys.min()) for _, _, ys in arrays if ys.size)
-    y_hi = max(float(ys.max()) for _, _, ys in arrays if ys.size)
+    x_lo, x_hi = float(all_xs.min()), float(all_xs.max())
+    y_lo, y_hi = float(all_ys.min()), float(all_ys.max())
+    del all_xs, all_ys  # copies of every point, which would raise the peak memory
     # widen a point range by 1, or by one ulp where adding 1 rounds away
     if x_hi == x_lo:
         x_hi = max(x_lo + 1.0, math.nextafter(x_lo, math.inf))
@@ -105,6 +115,7 @@ def render_lines(
 
     plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
     plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
+    bottom, right = _MARGIN_T + plot_h, _MARGIN_L + plot_w
 
     # pixel coordinates of a float or, elementwise, of an array of them
     def sx(x):
@@ -117,61 +128,30 @@ def render_lines(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15">{_escape(title)}</text>',
-    ]
-    # axes box
-    parts.append(
+        _text(_WIDTH / 2, 24, 15, title),
+        # axes box
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
-        f'fill="none" stroke="#444" stroke-width="1"/>'
-    )
+        f'fill="none" stroke="#444" stroke-width="1"/>',
+    ]
     for xt in _ticks(x_lo, x_hi):
-        parts.append(
-            f'<line x1="{sx(xt):.2f}" y1="{_MARGIN_T + plot_h}" '
-            f'x2="{sx(xt):.2f}" y2="{_MARGIN_T + plot_h + 5}" stroke="#444"/>'
-        )
-        parts.append(
-            f'<text x="{sx(xt):.2f}" y="{_MARGIN_T + plot_h + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(xt)}</text>'
-        )
+        x = f"{sx(xt):.2f}"
+        parts += [_line(x, bottom, x, bottom + 5, 'stroke="#444"'),
+                  _text(x, bottom + 20, 11, f"{xt:.6g}")]
     for yt in _ticks(y_lo, y_hi):
-        parts.append(
-            f'<line x1="{_MARGIN_L - 5}" y1="{sy(yt):.2f}" '
-            f'x2="{_MARGIN_L}" y2="{sy(yt):.2f}" stroke="#444"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_L - 9}" y="{sy(yt) + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(yt)}</text>'
-        )
+        y = sy(yt)
+        parts += [_line(_MARGIN_L - 5, f"{y:.2f}", _MARGIN_L, f"{y:.2f}", 'stroke="#444"'),
+                  _text(_MARGIN_L - 9, f"{y + 4:.2f}", 11, f"{yt:.6g}", anchor="end")]
     if y_lo <= 0.0 <= y_hi:
-        parts.append(
-            f'<line x1="{_MARGIN_L}" y1="{sy(0.0):.2f}" x2="{_MARGIN_L + plot_w}" '
-            f'y2="{sy(0.0):.2f}" stroke="#bbb" stroke-dasharray="4,4"/>'
-        )
-    parts.append(
-        f'<text x="{_WIDTH / 2}" y="{_HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{_escape(xlabel)}</text>'
-    )
-    parts.append(
-        f'<text x="18" y="{_MARGIN_T + plot_h / 2}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2})">{_escape(ylabel)}</text>'
-    )
+        y = f"{sy(0.0):.2f}"
+        parts.append(_line(_MARGIN_L, y, right, y, 'stroke="#bbb" stroke-dasharray="4,4"'))
+    mid_y = _MARGIN_T + plot_h / 2
+    parts += [_text(_WIDTH / 2, _HEIGHT - 12, 13, xlabel),
+              _text(18, mid_y, 13, ylabel, transform=f"rotate(-90 18 {mid_y})")]
+    lx = right - 160
     for i, (name, xs, ys) in enumerate(arrays):
-        color = _COLORS[i % len(_COLORS)]
-        points = _points(sx(xs), sy(ys))
-        parts.append(
-            f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.8"/>'
-        )
+        style = f'stroke="{_COLORS[i % len(_COLORS)]}" stroke-width="1.8"'
         ly = _MARGIN_T + 14 + 16 * i
-        lx = _MARGIN_L + plot_w - 160
-        parts.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="1.8"/>'
-        )
-        parts.append(
-            f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-            f'font-size="12">{_escape(name)}</text>'
-        )
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+        parts += [f'<polyline points="{_points(sx(xs), sy(ys))}" fill="none" {style}/>',
+                  _line(lx, ly - 4, lx + 22, ly - 4, style),
+                  _text(lx + 28, ly, 12, name, anchor=None)]
+    Path(path).write_text("\n".join(parts) + "\n</svg>\n", encoding="utf-8")

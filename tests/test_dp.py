@@ -289,14 +289,17 @@ class TestExtremeEffects:
     @pytest.mark.parametrize("theta", [1e-12, 1e-13, 1e-16])
     def test_root_below_its_precision_floor_raises(self, theta):
         # the profit is about 0.9 theta, under the floor of about 1.5e-12:
-        # 1e-12 times the costs paid, 0.1 to 0.5, summed over the rounds
-        with pytest.raises(RuntimeError, match=r"below its precision floor 1\.50000000000"):
+        # 1e-12 times the costs paid, 0.1 to 0.5, summed over the rounds,
+        # plus ROUNDING_ULPS ulps of each round's costs paid (2.1e-15 in all)
+        with pytest.raises(RuntimeError, match=r"below its precision floor 1\.5021094237"):
             backward_induction(5, 0.1, theta, LicenseGrid.from_cap(1.0, 10))
 
     @pytest.mark.parametrize(
         "horizon, cost, theta, cap, levels",
         [(5, 0.1, 1e-11, 1.0, 10), (2, 1e-301, 1.645, 1.0, 5), (5, 1e-6, 1e-6, 1.0, 50),
-         (3, 0.001, 0.01, 1.0, 40), (3, 0.5, 0.3, 1.0, 40), (5, 0.1, 1.645, 1.0, 100)],
+         (3, 0.001, 0.01, 1.0, 40), (3, 0.5, 0.3, 1.0, 40), (5, 0.1, 1.645, 1.0, 100),
+         # with rounding this root moves by 11 ulps of the cap, past the tolerance term
+         (1, 46.015 * (1 - 2.5e-10), 0.964, 46.015, 8)],
     )
     def test_floor_bounds_budgets_missed_by_the_tolerance(
         self, monkeypatch, horizon, cost, theta, cap, levels
@@ -306,7 +309,8 @@ class TestExtremeEffects:
         grid, tol = LicenseGrid.from_cap(cap, levels), optimizer.LAMBDA_REL_TOL
         policy = backward_induction(horizon, cost, theta, grid)
         root, floor = policy.root_value, policy.precision_floor
-        assert 0.0 < floor <= horizon * tol * (root + horizon * cost)
+        paid = root + horizon * cost
+        assert 0.0 < floor <= horizon * (tol * paid + dp.ROUNDING_ULPS * np.spacing(paid))
         for factor in (1.0 - tol, 1.0 + tol):
             with monkeypatch.context() as m:
                 m.setattr(dp, "optimal_steps",
@@ -422,10 +426,12 @@ class TestExtremeScales:
     # hull's chord test no longer overflows or underflows on the way
     @pytest.mark.parametrize("k", (1, 10, 100, 600, -600))
     def test_root_scales_exactly_with_cap_and_cost(self, k):
-        def root(scale):
-            return backward_induction(2, 0.1 * scale, 1.0, LicenseGrid.from_cap(scale, 4)).root_value
+        def policy(scale):
+            return backward_induction(2, 0.1 * scale, 1.0, LicenseGrid.from_cap(scale, 4))
 
-        assert root(2.0**k) == math.ldexp(root(1.0), k)
+        scaled, unit = policy(2.0**k), policy(1.0)
+        assert scaled.root_value == math.ldexp(unit.root_value, k)
+        assert scaled.precision_floor == math.ldexp(unit.precision_floor, k)
 
 
 # One DP configuration: horizon, levels, cap, cost as a share of the cap, effect.

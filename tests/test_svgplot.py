@@ -1,7 +1,9 @@
 """Plot ranges and axis ticks on degenerate data: every plot renders.
 The polyline points match the scalar point loop the writer replaced; bad
-points raise before a file is written; text is escaped."""
+points raise before a file is written; text is escaped. Whole-file digests
+pin the tick, legend, zero-line and escaping markup of the edge cases."""
 
+import hashlib
 import math
 import os
 import re
@@ -135,6 +137,42 @@ def test_text_is_escaped(tmp_path):
     texts = [t.text for t in ET.parse(path).getroot().iter("{http://www.w3.org/2000/svg}text")]
     for text in ("s<&", "a>b", "title & <more>", "x < 1", "y > 0"):
         assert text in texts
+
+
+# (series, title, xlabel, ylabel) -> SHA-256 of the written file
+PINNED = [
+    *(([("series", xs, ys)], "title", "x", "y") for xs, ys in DEGENERATE),
+    # every text element needs escaping
+    ([("s<&", [0.0, 1.0], [0.0, 1.0]), ("a>b", [0.0], [2.0])], "title & <more>", "x < 1", "y > 0"),
+    # seven series: the colour cycle wraps
+    ([(f"series {i}", [0.0, 1.0, 2.0], [i, i + 0.5, 2 * i]) for i in range(7)], "seven", "x", "y"),
+    # a y range across 0 draws the dashed zero line, one above 0 does not
+    ([("s", [0.0, 1.0], [-1.0, 2.0])], "t", "x", "y"),
+    ([("s", [0.0, 1.0], [1.0, 2.0])], "t", "x", "y"),
+]
+PINNED_DIGESTS = [
+    "0e4d452776ef1a612fd889616c80693f5ef85dd31bd4493b6cea5b8556d86be8",
+    "2a3e95d9ea532bce24da41eefb87d5a6c6e18641e480f50122e4f377b5c61386",
+    "f2c2f2c5faaaa4b2161de9f72878a8d54163694d6cdce184c7880f33cfd068ce",
+    "889a428a391d9d3507056c8400deba718bca5dc9bf6e6f8419883133a22625c6",
+    "416284b26ce09af7f6b0dc642b9d014208f99246ee336e607a667ec372d62dd0",
+    "c2d60685a0c7b8cbfa1e7b78158482dc2c1fecf0a88f2d3a12c1ee71a3efcf4f",
+    "e5c731fa0b6357a9bd2079c580fac038b4109e87c9e22252cea82cad34045b55",
+]
+
+
+@pytest.mark.parametrize("plot, digest", zip(PINNED, PINNED_DIGESTS))
+def test_edge_case_files_are_pinned(tmp_path, plot, digest):
+    path = tmp_path / "plot.svg"
+    render_lines(path, *plot)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_zero_line_only_where_the_y_range_holds_0(tmp_path):
+    path = tmp_path / "plot.svg"
+    for plot, dashed in ((PINNED[-2], 1), (PINNED[-1], 0)):
+        render_lines(path, *plot)
+        assert path.read_text(encoding="utf-8").count("stroke-dasharray") == dashed
 
 
 @given(st.text())
