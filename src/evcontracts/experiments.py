@@ -335,8 +335,9 @@ def run_welfare(config: ExperimentConfig) -> RunResult:
                 f"bad value for 'cost' and 'ratio_{label}': their product, the "
                 f"cap {cap!r}, must be finite and exceed cost {cost!r}"
             )
-        rows = welfare_curve(
-            pi0_grid, cost, cap, _SEVERITIES[severity_name], config["theta1"]
+        # one more row at pi0 = 1 for the summary, which the grid [0] lacks
+        *rows, at_1 = welfare_curve(
+            pi0_grid + [1.0], cost, cap, _SEVERITIES[severity_name], config["theta1"]
         )
         pi0, aligned, status_quo = zip(*rows)
         outputs += [
@@ -351,7 +352,7 @@ def run_welfare(config: ExperimentConfig) -> RunResult:
             "ratio": ratio,
             "severity": severity_name,
             "aligned_min": min(aligned),
-            "status_quo_at_1": status_quo[-1],
+            "status_quo_at_1": at_1[2],
         }
     return _write_outputs(config, outputs, summary)
 

@@ -75,11 +75,16 @@ def upper_tail_np(x: np.ndarray) -> np.ndarray:
     """Vectorized :func:`upper_tail` for array arguments.
 
     Loads ``scipy.special`` on its first call, so only the multi-round
-    optimizer and the discrete-evidence mode pay for importing it.
+    optimizer and the discrete-evidence mode pay for importing it. The
+    tails are built in place in one new array, which the caller may reuse.
     """
     from scipy import special
 
-    return 0.5 * special.erfc(np.asarray(x, dtype=float) / _SQRT2)
+    x = np.asarray(x, dtype=float)
+    tails = np.divide(x, _SQRT2, out=np.empty_like(x))
+    special.erfc(tails, out=tails)
+    tails *= 0.5
+    return tails
 
 
 def upper_tail_inverse(p: float) -> float:

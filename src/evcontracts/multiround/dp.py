@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..licenses import LicenseFn
-from .optimizer import LAMBDA_REL_TOL, LicenseGrid, StepBatch, optimal_steps
+from .optimizer import ALT_FIT_REL_TOL, LAMBDA_REL_TOL, LicenseGrid, StepBatch, optimal_steps
 from .values import concave_monotone_hull
 
 # ulps a round that bound the float rounding of its values; counted up in
@@ -61,8 +61,9 @@ class DPPolicy:
     @property
     def precision_floor(self) -> float:
         """Bound on the root's error: the multiplier tolerance to first
-        order, plus ROUNDING_ULPS ulps a round for float rounding. Scaling
-        cap and cost by 2^k scales it by exactly 2^k.
+        order, plus the alternative values' fit tolerance, plus ROUNDING_ULPS
+        ulps a round for float rounding. Scaling cap and cost by 2^k scales
+        it by exactly 2^k.
 
         An update meets its budget B only to LAMBDA_REL_TOL·B, which moves its
         expected value V(B) by at most LAMBDA_REL_TOL·lambda·B: its multiplier
@@ -71,6 +72,16 @@ class DPPolicy:
         LAMBDA_REL_TOL times the mean of lambda·B along the policy. That mean
         is at most the round's largest lambda·B and, as lambda·B <= V(B) -
         V(0), at most the root plus the costs of rounds 1..t.
+
+        A solved level's alternative value A, its continuation plus the cost,
+        is read off its fit cell's interpolant only where the cell's last two
+        Chebyshev coefficients, the estimate of the interpolant's error, are
+        at most ALT_FIT_REL_TOL times A's least value on the cell, so at most
+        ALT_FIT_REL_TOL·A; elsewhere A is priced exactly. Whether the level
+        stops or continues, its value moves by no more than that, and the mean
+        of A along the policy in round t is at most the root plus the costs of
+        rounds 1..t: round t adds ALT_FIT_REL_TOL times that, where it solved
+        a level.
 
         Rounding passes on the same way. A solved level's continuation is
         made of the alternative value, a sum of value steps times normal
@@ -97,8 +108,9 @@ class DPPolicy:
                            for b, B in zip(self.updates, budgets)])
         paid = self.root_value + np.cumsum(self.costs)
         tolerance = LAMBDA_REL_TOL * float(np.minimum(spent, paid).sum())
+        fit = ALT_FIT_REL_TOL * float(paid[solved > 0.0].sum())
         rounding = ROUNDING_ULPS * float(np.spacing(np.minimum(solved, paid))[solved > 0.0].sum())
-        return tolerance + rounding
+        return tolerance + fit + rounding
 
     def action(self, t: int, level_index: int) -> LicenseFn | None:
         """Update chosen in round t (1-based) at the given level, None = stop."""
@@ -111,12 +123,12 @@ class DPPolicy:
         value`` per (round, level), then a blank line and ``t,theta,log_slopes,
         step_values`` per round. Level breakpoints: theta/2 - (log_slopes - u)/theta."""
         lines = ["t,level,action,log_multiplier,value"]
-        levels = self.grid.level_values().tolist()
+        levels = list(map(repr, self.grid.level_values().tolist()))
         for t, batch in enumerate(self.updates, 1):
-            rows = zip(levels, self.go[t - 1], batch.u.tolist(), self.value_tables[t - 1].tolist())
-            for level, go, u, value in rows:
-                action = f"continue,{u!r}" if go else "stop,"
-                lines.append(f"{t},{level!r},{action},{value!r}")
+            rows = zip(levels, self.go[t - 1].tolist(), map(repr, batch.u.tolist()),
+                       map(repr, self.value_tables[t - 1].tolist()))
+            lines += [f"{t},{level},continue,{u},{value}" if go else f"{t},{level},stop,,{value}"
+                      for level, go, u, value in rows]
         lines += ["", "t,theta,log_slopes,step_values"]
         for t, batch in enumerate(self.updates, 1):
             slopes = ";".join(map(repr, batch.log_slopes.tolist()))
@@ -177,7 +189,8 @@ def backward_induction(
     The per-round optimization uses the analytic Gaussian-tail optimizer:
     the concave nondecreasing hull of the next round's value table is built
     once per round, all levels' log multipliers are solved against it and
-    stored as certified, and one more dense pass scores their updates.
+    stored as certified, and their updates are scored on the solver's fit
+    cells, so each round makes one dense pass over its levels.
 
     A root that continues with a profit below its precision floor cannot be
     told from zero and raises RuntimeError.

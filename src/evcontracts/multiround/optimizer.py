@@ -14,6 +14,8 @@ normal tails at the y_k (shifted by theta under the alternative). The budget
 is smooth and strictly decreasing in u = log lambda, the multiplier's one
 form: each root u comes from a Chebyshev interpolant of the spend on a fixed
 cell of u, and one loop of exact spend passes certifies it or steps it on.
+The update's expected value under the alternative, as smooth in u, is read
+off an interpolant on the same cell wherever that is accurate enough.
 
 Every function here takes the value function as a PLCValue. The dynamic
 program builds that hull once per round and solves every grid level of the
@@ -47,6 +49,9 @@ _MAX_ITERATIONS = 200
 # _fitted_roots: the widest fit cell in breakpoint units, and the most nodes;
 # below theta 0.09 a lattice cell needs more, and the fit only starts Newton
 _FIT_WIDTH, _MAX_NODES, _FIT_STEPS = 1.5, 32, 2
+# relative error allowed an alternative value read off a fit cell's interpolant
+# (_alternative_fit); DPPolicy.precision_floor counts it
+ALT_FIT_REL_TOL = 1e-12
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -107,21 +112,32 @@ def _positive_slope_prefix(v: PLCValue) -> tuple[np.ndarray, np.ndarray]:
 def _breakpoints(log_slopes, u, theta: float):
     """Breakpoints theta/2 - (log_slopes - u) / theta, broadcast elementwise:
     pass u[:, None] for the matrix y[l, k] of the updates priced at u[l].
-    A breakpoint beyond the double range (a subnormal theta) is +-inf."""
+    A breakpoint beyond the double range (a subnormal theta) is +-inf.
+    Built in place in the one new array, and so are the kernels below: each
+    leaves its y as it was."""
     with np.errstate(over="ignore"):
-        return theta / 2.0 - (log_slopes - u) / theta
+        y = np.subtract(log_slopes, u)
+        y /= theta
+        # a scalar y (scalar log_slopes and u) is not written in place
+        return np.subtract(theta / 2.0, y, out=y if y.ndim else None)
 
 
 def _spend(increments: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Null expectation sum_k inc_k * P_0(z >= y_k) of each row's update."""
-    return (increments * upper_tail_np(y)).sum(axis=1)
+    tails = upper_tail_np(y)
+    tails *= increments
+    return tails.sum(axis=1)
 
 
 def _spend_slope(increments: np.ndarray, y: np.ndarray, theta: float) -> np.ndarray:
     """Derivative of each row's spend in log lambda, -sum_k inc_k * phi(y_k) / theta."""
     # y * y overflows only where phi(y) is 0 anyway
     with np.errstate(over="ignore"):
-        return (increments * np.exp(-0.5 * y * y)).sum(axis=1) / (-theta * _SQRT_2PI)
+        density = np.multiply(y, -0.5)
+        density *= y
+        np.exp(density, out=density)
+        density *= increments
+        return density.sum(axis=1) / (-theta * _SQRT_2PI)
 
 
 def _alternative_values(v: PLCValue, n_knots: int, y: np.ndarray, theta: float) -> np.ndarray:
@@ -164,22 +180,43 @@ def _chebyshev(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(np.cos(np.pi / (n - 1) * k)), w
 
 
-def _fitted_roots(share, theta: float, cell: np.ndarray, log_shares: np.ndarray):
-    """Roots of log share(u) = log_shares on the fit cells holding lattice cells
-    ``cell`` (left ends' lattice indices). A fit cell joins the m >= 1 lattice
-    cells that keep its width in breakpoint units, w = m * _LATTICE_STEP /
-    theta, within _FIT_WIDTH. Its interpolant of log share at 10 + 4.5 w (at
-    most _MAX_NODES) Chebyshev-Lobatto nodes takes coefficients by elementwise
+def _fit_cells(theta: float, cell: np.ndarray):
+    """The fit cells holding lattice cells ``cell`` (left ends' lattice
+    indices). A fit cell joins the m >= 1 lattice cells that keep its width in
+    breakpoint units, w = m * _LATTICE_STEP / theta, within _FIT_WIDTH, and has
+    n = 10 + 4.5 w (at most _MAX_NODES) Chebyshev-Lobatto nodes. Returns the
+    fit cells' midpoints and half-width in u, n, and each lattice cell's fit
+    cell; all depend on theta and the lattice cell alone."""
+    m = max(1.0, math.floor(_FIT_WIDTH * theta / _LATTICE_STEP))
+    n = math.ceil(min(10.0 + 4.5 * m * _LATTICE_STEP / theta, _MAX_NODES))
+    cells, row = np.unique(np.floor(cell / m), return_inverse=True)
+    return (cells + 0.5) * m * _LATTICE_STEP + _LATTICE_ORIGIN, 0.5 * m * _LATTICE_STEP, n, row
+
+
+def _clenshaw(coef, t):
+    """The Chebyshev series with coefficients coef[0], coef[1], ... at t, by
+    Clenshaw's recurrence b = c + 2 t b1 - b2, each step in one new array;
+    t broadcasts against coef[j]."""
+    t2, b1 = 2.0 * t, np.zeros(coef.shape[1:])
+    b2 = b1
+    for c in coef[:0:-1]:
+        b = t2 * b1
+        b += c
+        b -= b2
+        b1, b2 = b, b1
+    return coef[0] + t * b1 - b2
+
+
+def _fitted_roots(f: np.ndarray, row: np.ndarray, log_shares: np.ndarray) -> np.ndarray:
+    """Roots t in [-1, 1] of log share = log_shares, each on fit cell row[i],
+    given the log shares f[c] at cell c's Chebyshev-Lobatto nodes. The
+    interpolant (with its two derivatives) takes coefficients by elementwise
     products and sums, no BLAS: a root depends on theta, its cell and budget
     alone. Each root starts from the chord of the two nodes around it and
     takes _FIT_STEPS Halley steps, clamped to the cell (NaN to its left end)."""
-    m = max(1.0, math.floor(_FIT_WIDTH * theta / _LATTICE_STEP))
-    n = math.ceil(min(10.0 + 4.5 * m * _LATTICE_STEP / theta, _MAX_NODES))
+    n = f.shape[1]
     x, w = _chebyshev(n)
-    cells, row = np.unique(np.floor(cell / m), return_inverse=True)
-    mid, half = (cells + 0.5) * m * _LATTICE_STEP + _LATTICE_ORIGIN, 0.5 * m * _LATTICE_STEP
     with np.errstate(all="ignore"):  # a share that underflows fails certification
-        f = np.log(share((mid[:, None] + half * x).ravel())).reshape(cells.size, n)
         coef = (f[:, None, None, :] * w).sum(axis=3).transpose(1, 2, 0)[:, :, row]
         coef[0, 0] -= log_shares
         f, rows = f[row] - log_shares[:, None], np.arange(row.size)  # rising, as u falls
@@ -187,12 +224,23 @@ def _fitted_roots(share, theta: float, cell: np.ndarray, log_shares: np.ndarray)
         f0, f1 = f[rows, j - 1], f[rows, j]
         t = x[j - 1] + np.clip(f0 / (f0 - f1), 0.0, 1.0) * (x[j] - x[j - 1])
         for _ in range(_FIT_STEPS):
-            b1 = b2 = 0.0  # Clenshaw's recurrence, for all three polynomials at once
-            for c in coef[:0:-1]:
-                b1, b2 = c + 2.0 * t * b1 - b2, b1
-            p, slope, curve = coef[0] + t * b1 - b2
+            p, slope, curve = _clenshaw(coef, t)
             t = np.fmin(np.fmax(t - p * slope / (slope * slope - 0.5 * p * curve), -1.0), 1.0)
-    return mid[row] + half * t
+    return t
+
+
+def _alternative_fit(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev coefficients of each fit cell's interpolant of the alternative
+    value, from its values a[c] at cell c's nodes (elementwise, no BLAS), and
+    whether the cell passes: its last two coefficients, which estimate the
+    interpolant's error, sum to at most ALT_FIT_REL_TOL times the cell's
+    smallest node value. The value falls as u rises, so that is its value at
+    the cell's right end, the least anywhere in the cell."""
+    w = _chebyshev(a.shape[1])[1][:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test
+        coef = (a[:, None, :] * w).sum(axis=2)
+        trailing = np.abs(coef[:, -1]) + np.abs(coef[:, -2])
+    return coef, trailing <= ALT_FIT_REL_TOL * a.min(axis=1)
 
 
 def _checked_budgets(theta: float, budgets) -> np.ndarray:
@@ -212,12 +260,14 @@ def solve_lambda(v: PLCValue, theta: float, budget):
     """Multiplier exp(u) whose update spends the null budget exactly, u the root
     _solve_log_lambda certifies; the result has the shape of ``budget``."""
     budgets = _checked_budgets(theta, np.atleast_1d(budget))
-    lam = np.exp(_solve_log_lambda(*_positive_slope_prefix(v), theta, budgets))
+    lam = np.exp(_solve_log_lambda(*_positive_slope_prefix(v), theta, budgets)[0])
     return float(lam[0]) if np.ndim(budget) == 0 else lam
 
 
-def _solve_log_lambda(knots, log_slopes, theta: float, budgets: np.ndarray) -> np.ndarray:
-    """Log-multipliers u whose updates on the positive-slope ``knots`` spend ``budgets``.
+def _solve_log_lambda(knots, log_slopes, theta: float, budgets: np.ndarray, value=None):
+    """Log-multipliers u whose updates on the positive-slope ``knots`` of
+    ``value`` spend ``budgets``, and the updates' alternative values (None
+    without ``value``, which only they need).
 
     The null spend S(u) = sum_k inc_k * P_0(z >= theta/2 - (l_k - u)/theta),
     with u = log lambda and l_k the nonincreasing log-slopes, is a mixture of
@@ -230,17 +280,25 @@ def _solve_log_lambda(knots, log_slopes, theta: float, budgets: np.ndarray) -> n
     tabulated on the fixed log-lambda lattice points that cover the batch's
     brackets (clipped to the normal double range, one point of slack each
     side), and each root is taken from an interpolant of log S on its fit
-    cell, a run of lattice cells set by theta (_fitted_roots). Each pass of
-    one loop then prices the open budgets at their u, the first certifying
-    the fits to the relative tolerance LAMBDA_REL_TOL; only a miss (most, at
-    theta below about 0.09) gets the slope S' and a Newton step, bisecting
-    its bracket whenever the step would leave it. Lattice and fit cells are
-    fixed, so a budget's root does not depend on the budgets solved with it.
-    A budget above the top reachable knot, or above the total increment (the
-    spend's limit as lambda goes to 0), is infeasible. A multiplier outside
-    the normal double range, unbracketed or solved there, raises
-    MultiplierRangeError; running out of passes or of floating-point
+    cell, a run of lattice cells set by theta (_fit_cells, _fitted_roots).
+    Each pass of one loop then prices the open budgets at their u, the first
+    certifying the fits to the relative tolerance LAMBDA_REL_TOL; only a miss
+    (most, at theta below about 0.09) gets the slope S' and a Newton step,
+    bisecting its bracket whenever the step would leave it. Lattice and fit
+    cells are fixed, so a budget's root does not depend on the budgets solved
+    with it. A budget above the top reachable knot, or above the total
+    increment (the spend's limit as lambda goes to 0), is infeasible. A
+    multiplier outside the normal double range, unbracketed or solved there,
+    raises MultiplierRangeError; running out of passes or of floating-point
     resolution short of the tolerance raises RuntimeError.
+
+    The alternative value A(u) = v(0) + sum_k dv_k * P_0(z >= y_k - theta),
+    dv_k the value's steps, is as smooth in u as S. So it is read off an
+    interpolant on the same fit cells, built from _alternative_values at the
+    nodes' breakpoint matrix, at each certified root: the certify pass stays
+    the only dense pass over the budgets. A cell whose interpolant fails
+    _alternative_fit's error test prices its roots exactly instead, by
+    _alternative_values at the breakpoints of the pass that certified them.
     """
     top = float(knots[-1]) if knots.size else 0.0
     over = budgets > top
@@ -256,9 +314,6 @@ def _solve_log_lambda(knots, log_slopes, theta: float, budgets: np.ndarray) -> n
             f"budget {b_max} is not attainable by any finite multiplier"
         )
 
-    def spend(u: np.ndarray) -> np.ndarray:
-        return _spend(increments, _breakpoints(log_slopes, u[:, None], theta))
-
     # The largest budget has the lowest root and the smallest the highest.
     log_tiny, log_max = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
     u_lo = log_slopes[-1] + theta * (_tail_quantile(b_max / total) - theta / 2.0)
@@ -267,7 +322,7 @@ def _solve_log_lambda(knots, log_slopes, theta: float, budgets: np.ndarray) -> n
     first = math.floor((u_lo - _LATTICE_ORIGIN) / _LATTICE_STEP) - 1
     last = math.ceil((u_hi - _LATTICE_ORIGIN) / _LATTICE_STEP) + 1
     grid = np.arange(first, last + 1) * _LATTICE_STEP + _LATTICE_ORIGIN
-    table = spend(grid)
+    table = _spend(increments, _breakpoints(log_slopes, grid[:, None], theta))
     # The padded bracket holds every root, and where it was clipped the table
     # reaches a step past that end of the double range: a budget the table
     # misses has its root beyond it.
@@ -283,8 +338,16 @@ def _solve_log_lambda(knots, log_slopes, theta: float, budgets: np.ndarray) -> n
     # along the table) and fit its root there.
     right = np.clip(np.searchsorted(-table, -budgets, side="left"), 1, grid.size - 1)
     lo, hi = grid[right - 1], grid[right]
-    u = _fitted_roots(lambda u: spend(u) / total, theta, first + right - 1.0,
-                      np.log(budgets / total))
+    centre, half, n, cell = _fit_cells(theta, first + right - 1.0)
+    y = _breakpoints(log_slopes, (centre[:, None] + half * _chebyshev(n)[0]).reshape(-1, 1), theta)
+    with np.errstate(all="ignore"):  # a share that underflows fails certification
+        f = np.log(_spend(increments, y) / total).reshape(centre.size, n)
+    u = centre[cell] + half * _fitted_roots(f, cell, np.log(budgets / total))
+    alt = exact = None
+    if value is not None:
+        coef, passed = _alternative_fit(
+            _alternative_values(value, knots.size, y, theta).reshape(centre.size, n))
+        alt, exact = np.empty_like(budgets), ~passed[cell]
     # u_at and residual hold the last priced point of each budget.
     u_at, residual = u.copy(), np.empty_like(budgets)
     active = np.arange(budgets.size)
@@ -294,6 +357,10 @@ def _solve_log_lambda(knots, log_slopes, theta: float, budgets: np.ndarray) -> n
         r = _spend(increments, y) - target
         u_at[active], residual[active] = ua, r
         miss = ~(np.abs(r) <= LAMBDA_REL_TOL * target)
+        if exact is not None:
+            priced = ~miss & exact[active]
+            if priced.any():
+                alt[active[priced]] = _alternative_values(value, knots.size, y[priced], theta)
         active, ua, r = active[miss], ua[miss], r[miss]
         if active.size == 0:
             break
@@ -327,7 +394,10 @@ def _solve_log_lambda(knots, log_slopes, theta: float, budgets: np.ndarray) -> n
             f"multiplier for budget {float(budgets[worst])} at theta {theta!r} is "
             f"exp({float(u_at[worst])!r}), outside the normal double range"
         )
-    return u_at
+    if exact is not None:
+        fit = ~exact
+        alt[fit] = _clenshaw(coef[cell[fit]].T, (u_at[fit] - centre[cell[fit]]) / half)
+    return u_at, alt
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,10 +448,10 @@ def optimal_steps(
     for the optimum), built once per round by the caller.
 
     One _solve_log_lambda call prices every budget, whose certified roots u
-    are stored as returned, and one more dense pass scores the updates under
-    the alternative. Returns the updates, a step at every positive-slope
-    knot, and their expected hull values. A budget at or above the top
-    reachable knot gets the constant top update, with slack budget.
+    are stored as returned, and scores the updates under the alternative.
+    Returns the updates, a step at every positive-slope knot, and their
+    expected hull values. A budget at or above the top reachable knot gets
+    the constant top update, with slack budget.
     """
     budgets = _checked_budgets(theta1, budgets)
     knots, log_slopes = _positive_slope_prefix(value)
@@ -391,9 +461,8 @@ def optimal_steps(
     alt_values = np.full(budgets.size, float(value(top)))
     inner = np.flatnonzero(budgets < top * (1.0 - LAMBDA_REL_TOL))
     if inner.size:
-        u[inner] = _solve_log_lambda(knots, log_slopes, theta1, budgets[inner])
-        y = _breakpoints(log_slopes, u[inner, None], theta1)
-        alt_values[inner] = _alternative_values(value, knots.size, y, theta1)
+        u[inner], alt_values[inner] = _solve_log_lambda(
+            knots, log_slopes, theta1, budgets[inner], value)
     return StepBatch(theta1, log_slopes, np.concatenate(([0.0], knots)), u), alt_values
 
 

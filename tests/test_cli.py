@@ -248,6 +248,16 @@ class TestWelfareCommand:
         assert code == EXIT_OK
         _, rows = read_csv(out / "welfare_panel_a.csv")
         assert len(rows) == 1 and float(rows[0][0]) == 0.0
+        # the summary's status quo utility is the one at pi0 = 1, as on the
+        # two-point grid [0, 1], not the grid's last row (pi0 = 0)
+        summaries = [
+            experiments.run_welfare(
+                resolve_config("welfare", tmp_path / str(n), None, {"grid_points": str(n)})
+            ).summary
+            for n in (1, 2)
+        ]
+        assert [s[p]["status_quo_at_1"] for s in summaries for p in ("panel_a", "panel_b")] == [
+            0.0, -0.05000000000000002, 0.0, -0.05000000000000002]
 
     def test_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "w"
@@ -619,7 +629,10 @@ class TestMultiroundCommand:
         # pattern per round), and again when the multipliers began to come
         # from per-cell interpolants (its repr floats moved in the 12th digit),
         # and again when it began to store the solver's log multiplier as
-        # solved rather than log(exp(u)) (last-digit moves);
+        # solved rather than log(exp(u)) (last-digit moves), and again when
+        # the alternative values began to come from the fit cells'
+        # interpolants (values within 1e-13 relative, multipliers in the last
+        # digits);
         # test_dp.py::TestPolicyExport checks that every update rebuilt from
         # the file equals the solver's. The two profit plots and the
         # rounds-used table complete the run's outputs (all but the manifest).
@@ -645,7 +658,7 @@ class TestMultiroundCommand:
         }
         assert digests == {
             "multiround_policy.txt":
-                "6bf4352ba946effe590e1e46a9e6934b64699f6809284c86160748b9c188f7fe",
+                "896187969bc8f31180415f9227d0416cedd48d1b1a2404d13c00367092d3a26c",
             "multiround_episodes.csv":
                 "87f73b50054c12adffd616a036afd0f38844ca935d8821e6dfdb83183dfeeb89",
             "multiround_profit_cap1.csv":

@@ -68,9 +68,9 @@ class TestHullPerRound:
         sizes = []
         solve = optimizer._solve_log_lambda
 
-        def counted(knots, log_slopes, theta, budgets):
+        def counted(knots, log_slopes, theta, budgets, value=None):
             sizes.append(np.size(budgets))
-            return solve(knots, log_slopes, theta, budgets)
+            return solve(knots, log_slopes, theta, budgets, value)
 
         monkeypatch.setattr(optimizer, "_solve_log_lambda", counted)
         backward_induction(3, 0.1, 1.0, LicenseGrid.from_cap(1.0, 20))
@@ -288,35 +288,61 @@ class TestExtremeEffects:
 
     @pytest.mark.parametrize("theta", [1e-12, 1e-13, 1e-16])
     def test_root_below_its_precision_floor_raises(self, theta):
-        # the profit is about 0.9 theta, under the floor of about 1.5e-12:
+        # the profit is about 0.9 theta, under the floor of about 3.0e-12:
         # 1e-12 times the costs paid, 0.1 to 0.5, summed over the rounds,
-        # plus ROUNDING_ULPS ulps of each round's costs paid (2.1e-15 in all)
-        with pytest.raises(RuntimeError, match=r"below its precision floor 1\.5021094237"):
+        # twice (LAMBDA_REL_TOL and ALT_FIT_REL_TOL), plus ROUNDING_ULPS ulps
+        # of each round's costs paid (2.1e-15 in all)
+        with pytest.raises(RuntimeError, match=r"below its precision floor 3\.0021094237"):
             backward_induction(5, 0.1, theta, LicenseGrid.from_cap(1.0, 10))
 
-    @pytest.mark.parametrize(
+    FLOOR_CONFIGS = pytest.mark.parametrize(
         "horizon, cost, theta, cap, levels",
         [(5, 0.1, 1e-11, 1.0, 10), (2, 1e-301, 1.645, 1.0, 5), (5, 1e-6, 1e-6, 1.0, 50),
          (3, 0.001, 0.01, 1.0, 40), (3, 0.5, 0.3, 1.0, 40), (5, 0.1, 1.645, 1.0, 100),
          # with rounding this root moves by 11 ulps of the cap, past the tolerance term
          (1, 46.015 * (1 - 2.5e-10), 0.964, 46.015, 8)],
     )
+
+    @FLOOR_CONFIGS
     def test_floor_bounds_budgets_missed_by_the_tolerance(
         self, monkeypatch, horizon, cost, theta, cap, levels
     ):
         # every update spending its budget times 1 +- LAMBDA_REL_TOL moves
-        # the root by no more than the floor the DP checks against
+        # the root by no more than the floor the DP checks against; the floor
+        # also counts ALT_FIT_REL_TOL of the root plus the costs paid, for the
+        # fitted alternative values
         grid, tol = LicenseGrid.from_cap(cap, levels), optimizer.LAMBDA_REL_TOL
         policy = backward_induction(horizon, cost, theta, grid)
         root, floor = policy.root_value, policy.precision_floor
         paid = root + horizon * cost
-        assert 0.0 < floor <= horizon * (tol * paid + dp.ROUNDING_ULPS * np.spacing(paid))
+        assert 0.0 < floor <= horizon * (
+            (tol + optimizer.ALT_FIT_REL_TOL) * paid + dp.ROUNDING_ULPS * np.spacing(paid))
         for factor in (1.0 - tol, 1.0 + tol):
             with monkeypatch.context() as m:
                 m.setattr(dp, "optimal_steps",
                           lambda v, t, b, f=factor: optimizer.optimal_steps(v, t, b * f))
                 moved = backward_induction(horizon, cost, theta, grid).root_value
             assert abs(moved - root) <= floor
+
+    @FLOOR_CONFIGS
+    def test_floor_bounds_alternative_values_missed_by_the_fit(
+        self, monkeypatch, horizon, cost, theta, cap, levels
+    ):
+        # every solved level's alternative value off by ALT_FIT_REL_TOL of
+        # itself, the most a fitted one may be, moves the root by no more
+        # than the floor
+        grid, tol = LicenseGrid.from_cap(cap, levels), optimizer.ALT_FIT_REL_TOL
+        policy = backward_induction(horizon, cost, theta, grid)
+
+        def steps(v, t, b, factor):
+            batch, alt_values = optimizer.optimal_steps(v, t, b)
+            return batch, np.where(batch.u > -np.inf, alt_values * factor, alt_values)
+
+        for factor in (1.0 - tol, 1.0 + tol):
+            with monkeypatch.context() as m:
+                m.setattr(dp, "optimal_steps", lambda v, t, b, f=factor: steps(v, t, b, f))
+                moved = backward_induction(horizon, cost, theta, grid).root_value
+            assert abs(moved - policy.root_value) <= policy.precision_floor
 
     def test_unconverged_solve_at_a_subnormal_budget_raises_without_overflow(self):
         # the message picks the worst residual relative to a 1e-320 budget
@@ -567,9 +593,36 @@ def _read_policy(text: str):
     }
 
 
+def _export_text_by_element(policy) -> str:
+    """DPPolicy.export_text as first written: the go mask read element by
+    element, each row formatted from mixed numpy and list iterators."""
+    lines = ["t,level,action,log_multiplier,value"]
+    levels = policy.grid.level_values().tolist()
+    for t, batch in enumerate(policy.updates, 1):
+        rows = zip(levels, policy.go[t - 1], batch.u.tolist(), policy.value_tables[t - 1].tolist())
+        for level, go, u, value in rows:
+            action = f"continue,{u!r}" if go else "stop,"
+            lines.append(f"{t},{level!r},{action},{value!r}")
+    lines += ["", "t,theta,log_slopes,step_values"]
+    for t, batch in enumerate(policy.updates, 1):
+        slopes = ";".join(map(repr, batch.log_slopes.tolist()))
+        values = ";".join(map(repr, batch.values.tolist()))
+        lines.append(f"{t},{float(batch.theta)!r},{slopes},{values}")
+    return "\n".join(lines) + "\n"
+
+
 class TestPolicyExport:
     """The exported file holds the stored policy: every update rebuilt from
     it through theta/2 - (log_slopes - u)/theta equals the solver's own."""
+
+    @pytest.mark.parametrize(
+        "horizon, cost, theta, cap, levels",
+        # stop and continue rows, a constant top update (u = -inf), all stop
+        [(5, 0.1, 1.645, 1.0, 100), (3, 0.1 - 1e-13, 1.645, 1.0, 10), (3, 2.0, 1.0, 1.0, 7)],
+    )
+    def test_text_equals_the_element_loop(self, horizon, cost, theta, cap, levels):
+        policy = backward_induction(horizon, cost, theta, LicenseGrid.from_cap(cap, levels))
+        assert policy.export_text() == _export_text_by_element(policy)
 
     # (cap, theta, levels, cost, constant); a cost just under one grid step
     # makes the level below the cap continue with the constant top update,

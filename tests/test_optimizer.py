@@ -12,6 +12,7 @@ from evcontracts.multiround import (
     PLCValue,
     backward_induction,
     concave_monotone_hull,
+    dp,
     null_expectation_of_update,
     optimal_step,
     optimal_steps,
@@ -273,10 +274,11 @@ class TestSolveLambda:
 
     def test_fine_grid_round_is_certified_in_one_pass(self, monkeypatch):
         # each round makes four passes through the one tail-sum kernel: the
-        # lattice table, the fit cells' nodes (far fewer rows than levels),
-        # the certify pass over the 392 levels below the cap, and the score
-        # of those levels under the alternative; no slope pass, so no level
-        # takes a Newton step
+        # lattice table, the fit cells' nodes under the null and under the
+        # alternative (far fewer rows than levels), and the certify pass over
+        # the 392 levels below the cap, the only pass over the levels: every
+        # alternative value comes from its fit cell. No slope pass, so no
+        # level takes a Newton step
         rows, slopes = [], []
         spend, spend_slope = optimizer._spend, optimizer._spend_slope
 
@@ -291,7 +293,7 @@ class TestSolveLambda:
         monkeypatch.setattr(optimizer, "_spend", counted)
         monkeypatch.setattr(optimizer, "_spend_slope", counted_slope)
         backward_induction(5, 0.1, 1.0, LicenseGrid.from_cap(5.0, 400))
-        assert len(rows) == 20 and rows[2::4] == rows[3::4] == [392] * 5
+        assert len(rows) == 20 and rows[3::4] == [392] * 5 and rows[1::4] == rows[2::4]
         assert max(rows[0::4] + rows[1::4]) < 392 / 3
         assert slopes == []
 
@@ -592,3 +594,104 @@ class TestAlternativeValue:
             # the update that spends lam's budget is lam's update
             _, values = optimal_steps(v, theta, [null_expectation_of_update(v, lam, theta)])
             assert values[0] == pytest.approx(target, abs=1e-9)
+
+
+def _fitted_and_exact(monkeypatch, horizon, theta, levels, cells=None):
+    """Run a DP at cap 5, cost 0.1 and return, for every solved level of every
+    round, its alternative value as returned and as priced exactly by
+    _alternative_values at its certified root; ``cells`` collects whether each
+    fit cell passed _alternative_fit's error test."""
+    fitted, exact = [], []
+    steps, fit = optimizer.optimal_steps, optimizer._alternative_fit
+
+    def checked(value, theta1, budgets):
+        batch, alt_values = steps(value, theta1, budgets)
+        solved = batch.u > -np.inf
+        knots, log_slopes = optimizer._positive_slope_prefix(value)
+        y = optimizer._breakpoints(log_slopes, batch.u[solved, None], theta1)
+        fitted.extend(alt_values[solved].tolist())
+        exact.extend(optimizer._alternative_values(value, knots.size, y, theta1).tolist())
+        return batch, alt_values
+
+    def recorded(a):
+        coef, passed = fit(a)
+        cells.extend(passed.tolist())
+        return coef, passed
+
+    monkeypatch.setattr(dp, "optimal_steps", checked)
+    if cells is not None:
+        monkeypatch.setattr(optimizer, "_alternative_fit", recorded)
+    backward_induction(horizon, 0.1, theta, LicenseGrid.from_cap(5.0, levels))
+    return np.array(fitted), np.array(exact)
+
+
+class TestFittedAlternativeValues:
+    # the certify pass is a round's only pass over its levels: each level's
+    # alternative value is read off its fit cell's interpolant, or priced
+    # exactly where the cell's trailing coefficients fail the error test
+
+    @pytest.mark.parametrize("theta", (0.05, 0.2, 1.0, 1.645, 8.0))
+    @pytest.mark.parametrize("levels", (100, 400, 1600))
+    def test_within_the_fit_tolerance_of_the_exact_pass(self, monkeypatch, theta, levels):
+        fitted, exact = _fitted_and_exact(monkeypatch, 3, theta, levels)
+        assert fitted.size > 0
+        assert np.all(np.abs(fitted - exact) <= optimizer.ALT_FIT_REL_TOL * exact)
+
+    def test_small_effect_takes_the_exact_fallback(self, monkeypatch):
+        # at theta 0.05 a fit cell spans 8.6 breakpoint units; its interpolant
+        # misses by more than the tolerance, every cell's trailing
+        # coefficients say so, and every level is priced exactly, bit for bit
+        cells = []
+        fitted, exact = _fitted_and_exact(monkeypatch, 3, 0.05, 400, cells)
+        assert len(cells) > 0 and not any(cells)
+        assert fitted.tolist() == exact.tolist()
+        with monkeypatch.context() as m:
+            m.setattr(optimizer, "ALT_FIT_REL_TOL", math.inf)
+            forced, exact = _fitted_and_exact(m, 3, 0.05, 400)
+        assert np.max(np.abs(forced - exact) / exact) > optimizer.ALT_FIT_REL_TOL
+
+    @pytest.mark.parametrize("theta", (0.2, 1.0, 8.0))
+    def test_fine_grid_cells_pass_the_error_test(self, monkeypatch, theta):
+        cells = []
+        _fitted_and_exact(monkeypatch, 3, theta, 400, cells)
+        assert len(cells) > 0 and all(cells)
+
+
+class TestInPlaceKernels:
+    # the breakpoint and tail kernels build their matrices in place; they
+    # equal the plain expressions bit for bit and leave their inputs alone
+
+    @staticmethod
+    def check(log_slopes, u, theta, increments):
+        from scipy import special
+
+        log_slopes, u = np.array(log_slopes), np.array(u)[:, None]
+        increments = np.array(increments[: log_slopes.size])
+        with np.errstate(over="ignore"):
+            want_y = theta / 2.0 - (log_slopes - u) / theta
+        y = optimizer._breakpoints(log_slopes, u, theta)
+        assert y.tobytes() == want_y.tobytes()
+        kept = y.copy()
+        want = (increments * (0.5 * special.erfc(y / math.sqrt(2.0)))).sum(axis=1)
+        assert optimizer._spend(increments, y).tobytes() == want.tobytes()
+        with np.errstate(over="ignore"):
+            want = (increments * np.exp(-0.5 * y * y)).sum(axis=1) / (
+                -theta * math.sqrt(2.0 * math.pi))
+        assert optimizer._spend_slope(increments, y, theta).tobytes() == want.tobytes()
+        assert y.tobytes() == kept.tobytes()
+        return y
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(
+        log_slopes=st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=12),
+        u=st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=6),
+        # subnormal thetas put breakpoints beyond the double range, at +-inf
+        theta=st.one_of(st.floats(1e-3, 40.0), st.sampled_from([5e-324, 1e-310, 2.0**-1030])),
+        increments=st.lists(st.floats(1e-6, 10.0), min_size=12, max_size=12),
+    )
+    def test_equal_the_plain_expressions(self, log_slopes, u, theta, increments):
+        self.check(log_slopes, u, theta, increments)
+
+    def test_breakpoints_beyond_the_double_range(self):
+        y = self.check([1.0, -1.0, 0.0], [0.0, 1.0], 5e-324, [0.5, 0.25, 0.25])
+        assert y.tolist() == [[-math.inf, math.inf, 0.0], [0.0, math.inf, math.inf]]
