@@ -594,20 +594,33 @@ def _star_outputs(row: tuple, policy, episodes, one, five) -> tuple[list, dict]:
 
 
 def run_best_response(config: ExperimentConfig) -> RunResult:
-    """Closed-form best-response licenses across cost ratios and effects."""
+    """Closed-form best-response licenses across cost ratios and effects.
+
+    The best response pays the cap once z clears the threshold whose null
+    tail mass is cost/cap, which depends on the cost ratio alone and not on
+    the effect, so each ratio builds one license, at the grid's smallest
+    effect. The cells a ratio repeats (the ratio and the threshold) and the
+    effects every ratio repeats are spelled once by ``_cell``, the writer's
+    own per-cell spelling, so the file reads as if each row were written
+    from floats.
+    """
     cap = config["cap"]
+    thetas = config["theta_grid"]
+    theta_cells = list(map(_cell, thetas))
     rows = []
     for ratio in config["cost_ratios"]:
+        cost = ratio * cap
         # each key lies in its domain, but their product may underflow to 0
-        if not ratio * cap > 0.0:
+        if not cost > 0.0:
             raise ConfigError(
                 f"bad value for 'cap' and 'cost_ratios': the cost {ratio!r} * {cap!r} "
-                f"rounds to {ratio * cap!r} and must be positive"
+                f"rounds to {cost!r} and must be positive"
             )
-        for theta1 in config["theta_grid"]:
-            threshold = np_best_response(0.0, theta1, ratio * cap, cap).approval_threshold()
+        threshold = np_best_response(0.0, min(thetas), cost, cap).approval_threshold()
+        ratio_cell, threshold_cell = _cell(ratio), _cell(threshold)
+        for theta1, theta_cell in zip(thetas, theta_cells):
             power = upper_tail(threshold - theta1)
-            rows.append((ratio, theta1, threshold, power, cap * power - ratio * cap))
+            rows.append((ratio_cell, theta_cell, threshold_cell, power, cap * power - cost))
     outputs = [(
         "best_response.csv", write_csv,
         ["cost_ratio", "theta1", "threshold", "power", "expected_profit"], rows,

@@ -42,8 +42,8 @@ class LicenseFn:
         object.__setattr__(self, "breakpoints", breaks)
         object.__setattr__(self, "values", vals)
         # map over C-level callables: these checks run on every license built,
-        # most often by the best-response sweep (one per row); the dynamic
-        # program keeps its updates as StepBatch rows and builds none
+        # by each agent decision and each best-response cost ratio; the
+        # dynamic program keeps its updates as StepBatch rows and builds none
         if len(vals) != len(breaks) + 1:
             raise ValueError(
                 f"need exactly one value per interval: got {len(breaks)} "

@@ -61,7 +61,8 @@ def np_best_response(
     cost/cap, zero otherwise, so the null expectation is exactly
     min(cost, cap). With cost >= cap the constraint is slack and the
     constant license at the cap is optimal. ``sd`` scales the threshold for
-    evidence that is an n-sample mean.
+    evidence that is an n-sample mean. ``alt_mean`` only picks the side of
+    the test: the license is the same for every ``alt_mean > null_mean``.
     """
     if alt_mean <= null_mean:
         raise ValueError(

@@ -4,10 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import evcontracts
 from evcontracts import experiments
@@ -684,7 +686,8 @@ class TestMultiroundCommand:
 # quantile moved to statistics.NormalDist, whose result at p = 1/50 is one ulp
 # from scipy's and moves two cells in the 12th digit; another Python may too.
 # The manifest digests were re-recorded when the manifest became a config file
-# that spells each float with repr.
+# that spells each float with repr. A key names the command, with a "/" suffix
+# on a second run of one command.
 PINNED_RUNS = {
     "welfare": ([], {
         "welfare_panel_a.csv":
@@ -710,6 +713,16 @@ PINNED_RUNS = {
         "manifest.txt":
             "827bb6366720e693bc6012922f9d8136cffc691fc0e918acbfe27b4f79e224cf",
     }),
+    # 40 ratios x 10 effects, spelled with 17 digits, at a cap that moves the
+    # ratios' null masses off their quantiles
+    "best-response/40x10": (["--param", "cap=3",
+                             "--param", "cost_ratios=" + ",".join(repr(k / 41) for k in range(1, 41)),
+                             "--param", "theta_grid=" + ",".join(repr(k / 7) for k in range(1, 11))], {
+        "best_response.csv":
+            "3f08bce8162662e9b1cabc23aa127128558b367b0492e2a19fb82ca16c7c5e90",
+        "manifest.txt":
+            "b8bd89fe62d848c582d67582d58df529cb00a6f50491f0b414bb52925a573a3d",
+    }),
     "evalue-growth": (["--param", "n_max=40", "--reps", "200"], {
         "evalue_growth.csv":
             "0f6c9eab217ee4293a14359adc74be98894d40479a3c4fd7b663d8da57beb35f",
@@ -723,9 +736,10 @@ PINNED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(PINNED_RUNS))
-def test_output_bytes_and_wrote_lines_are_pinned(tmp_path, capsys, command):
-    args, digests = PINNED_RUNS[command]
+@pytest.mark.parametrize("run", sorted(PINNED_RUNS))
+def test_output_bytes_and_wrote_lines_are_pinned(tmp_path, capsys, run):
+    args, digests = PINNED_RUNS[run]
+    command = run.partition("/")[0]
     out = tmp_path / "o"
     assert main([command, "--out", str(out), *args]) == EXIT_OK
     stdout = capsys.readouterr().out.splitlines()
@@ -961,15 +975,73 @@ class TestBestResponseCommand:
     def test_threshold_is_the_scored_licenses(self, tmp_path, monkeypatch):
         # at cap 3 the scored license's null mass 0.1 * 3 / 3 is not 0.1 bit
         # for bit, so its threshold differs from the quantile of the ratio
-        written = []
+        scored, written = [], []
+
+        def best_response(*args, **kwargs):
+            scored.append(np_best_response(*args, **kwargs))
+            return scored[-1]
+
+        monkeypatch.setattr(experiments, "np_best_response", best_response)
         monkeypatch.setattr(experiments, "write_csv", lambda path, header, rows: written.extend(rows))
         argv = ["best-response", "--out", str(tmp_path / "b"), "--param", "cap=3",
                 "--param", "cost_ratios=0.1", "--param", "theta_grid=1"]
         assert main(argv) == EXIT_OK
+        [license] = scored
         [(_, _, threshold, power, _)] = written
-        assert threshold == np_best_response(0.0, 1.0, 0.1 * 3.0, 3.0).breakpoints[0]
-        assert threshold != upper_tail_inverse(0.1)
-        assert power == upper_tail(threshold - 1.0)
+        assert threshold == experiments._cell(license.breakpoints[0])
+        assert power == upper_tail(license.breakpoints[0] - 1.0)
+        assert power != upper_tail(upper_tail_inverse(0.1) - 1.0)
+
+    def test_one_license_per_cost_ratio(self, tmp_path, monkeypatch):
+        calls = []
+
+        def best_response(*args, **kwargs):
+            calls.append(args)
+            return np_best_response(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "np_best_response", best_response)
+        argv = ["best-response", "--out", str(tmp_path / "b"),
+                "--param", "cost_ratios=0.001,0.01,0.05,0.1,0.3,0.5,0.9",
+                "--param", "theta_grid=0.1,0.5,1,2,4"]
+        assert main(argv) == EXIT_OK
+        assert len(calls) == 7
+        assert len(read_csv(tmp_path / "b" / "best_response.csv")[1]) == 35
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_csv_matches_one_license_per_row(self, data):
+        # the oracle builds a license per (ratio, effect) and writes float rows;
+        # subnormal caps reach the constant license, whose threshold is -inf
+        cap = data.draw(st.sampled_from([1.0, 3.0, 1e-300, 1e-310, 5e-324, 1e300])
+                        | st.floats(1e-3, 1e3))
+        ratio = st.sampled_from([0.9999999999999999, 0.6, 0.1, 1e-300, 5e-324]) | st.floats(
+            0.0, 1.0, exclude_min=True, exclude_max=True)
+        effect = st.sampled_from([5e-324, 1e300, 1.0, 1.645]) | st.floats(
+            0.0, 1e300, exclude_min=True)
+        grids = []
+        for values in (ratio, effect):
+            grid = data.draw(st.lists(values, min_size=1, max_size=5))
+            grids.append(grid + grid[:data.draw(st.integers(0, len(grid)))])
+        ratios, thetas = grids
+        assume(all(r * cap > 0.0 for r in ratios))
+        header = ["cost_ratio", "theta1", "threshold", "power", "expected_profit"]
+        rows = []
+        for r in ratios:
+            for theta1 in thetas:
+                threshold = np_best_response(0.0, theta1, r * cap, cap).approval_threshold()
+                power = upper_tail(threshold - theta1)
+                rows.append((r, theta1, threshold, power, cap * power - r * cap))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            config = resolve_config("best_response", out, overrides={
+                "cap": repr(cap),
+                "cost_ratios": ",".join(map(repr, ratios)),
+                "theta_grid": ",".join(map(repr, thetas)),
+            })
+            experiments.run_best_response(config)
+            write_csv(Path(tmp) / "oracle.csv", header, rows)
+            assert (out / "best_response.csv").read_bytes() == (
+                Path(tmp) / "oracle.csv").read_bytes()
 
     def test_ratio_validation(self, tmp_path):
         code = main(
