@@ -465,9 +465,10 @@ def _multiround_cell(
     stream ``stream_index`` (common random numbers): the DP agent reads row
     r, the same-cost agent applies its best response to column 0, and the
     pooled agent applies its best response to the row mean, which is
-    N(theta1, 1/sqrt(horizon)).
+    N(theta1, 1/sqrt(horizon)). Both best responses depend on the cost and
+    the cap alone, so no effect enters them.
 
-    An effect at most zero plays the theta_star agent's strategies against
+    An effect at most zero plays the theta_star agent's DP strategy against
     null evidence. A design effect too large for the multiplier's double
     range is a config error naming the key it came from; an unconverged
     multiplier solve or a root below its precision floor (a tiny effect, a
@@ -491,8 +492,8 @@ def _multiround_cell(
         policy, theta1, config["reps"], RandomStream(config["seed"], stream_index)
     )
     z = episodes.evidence
-    one = np_best_response(0.0, design_theta, cost, cap)
-    pooled = np_best_response(0.0, design_theta, T * cost, cap, sd=1.0 / math.sqrt(T))
+    one = np_best_response(cost, cap)
+    pooled = np_best_response(T * cost, cap, sd=1.0 / math.sqrt(T))
     return policy, episodes, one(z[:, 0]), pooled(z.mean(axis=1))
 
 
@@ -598,11 +599,10 @@ def run_best_response(config: ExperimentConfig) -> RunResult:
 
     The best response pays the cap once z clears the threshold whose null
     tail mass is cost/cap, which depends on the cost ratio alone and not on
-    the effect, so each ratio builds one license, at the grid's smallest
-    effect. The cells a ratio repeats (the ratio and the threshold) and the
-    effects every ratio repeats are spelled once by ``_cell``, the writer's
-    own per-cell spelling, so the file reads as if each row were written
-    from floats.
+    the effect, so each ratio builds one license. The cells a ratio repeats
+    (the ratio and the threshold) and the effects every ratio repeats are
+    spelled once by ``_cell``, the writer's own per-cell spelling, so the
+    file reads as if each row were written from floats.
     """
     cap = config["cap"]
     thetas = config["theta_grid"]
@@ -611,12 +611,13 @@ def run_best_response(config: ExperimentConfig) -> RunResult:
     for ratio in config["cost_ratios"]:
         cost = ratio * cap
         # each key lies in its domain, but their product may underflow to 0
-        if not cost > 0.0:
+        # or, at a tiny cap, round up to the cap
+        if not 0.0 < cost < cap:
             raise ConfigError(
                 f"bad value for 'cap' and 'cost_ratios': the cost {ratio!r} * {cap!r} "
-                f"rounds to {cost!r} and must be positive"
+                f"rounds to {cost!r} and must lie strictly between 0 and the cap"
             )
-        threshold = np_best_response(0.0, min(thetas), cost, cap).approval_threshold()
+        threshold = np_best_response(cost, cap).approval_threshold()
         ratio_cell, threshold_cell = _cell(ratio), _cell(threshold)
         for theta1, theta_cell in zip(thetas, theta_cells):
             power = upper_tail(threshold - theta1)

@@ -51,29 +51,23 @@ class AgentDecision:
             raise ValueError("an opted-out agent has zero profit")
 
 
-def np_best_response(
-    null_mean: float, alt_mean: float, cost: float, cap: float, sd: float = 1.0
-) -> LicenseFn:
+def np_best_response(cost: float, cap: float, sd: float = 1.0) -> LicenseFn:
     """Payout-maximizing license against the menu of all rescaled e-values.
 
-    The optimum for a simple-vs-simple Gaussian test is all-or-nothing:
-    pay ``cap`` when z clears the threshold whose null tail mass is
-    cost/cap, zero otherwise, so the null expectation is exactly
-    min(cost, cap). With cost >= cap the constraint is slack and the
-    constant license at the cap is optimal. ``sd`` scales the threshold for
-    evidence that is an n-sample mean. ``alt_mean`` only picks the side of
-    the test: the license is the same for every ``alt_mean > null_mean``.
+    By the Neyman-Pearson lemma the optimum is all-or-nothing and the same
+    for every effect theta > 0: pay ``cap`` when z clears the threshold
+    whose null tail mass is cost/cap, zero otherwise, so the null
+    expectation is exactly min(cost, cap) and the license depends on
+    cost/cap and ``sd`` alone. With cost >= cap the constraint is slack and
+    the constant license at the cap is optimal. ``sd`` scales the threshold
+    for evidence that is an n-sample mean.
     """
-    if alt_mean <= null_mean:
-        raise ValueError(
-            "one-sided best response needs alt_mean > null_mean, got "
-            f"{alt_mean} <= {null_mean}"
-        )
     if cost <= 0.0:
         raise ValueError(f"cost must be positive, got {cost}")
     if cost >= cap:
         return constant_license(cap)
-    threshold = null_mean + sd * upper_tail_inverse(cost / cap)
+    # upper_tail_inverse(0.5) is -0.0; adding 0.0 makes the threshold +0.0
+    threshold = sd * upper_tail_inverse(cost / cap) + 0.0
     return LicenseFn([threshold], [0.0, cap])
 
 
@@ -89,34 +83,32 @@ def status_quo_license(cap: float) -> LicenseFn:
 def agent_decide(theta: float, contract: Contract) -> AgentDecision:
     """Best response of a type-theta agent, with strict opt-in.
 
-    The agent opts in only when the best expected profit is strictly
-    positive; ties at zero mean opting out. For explicit menus ties in
-    expected payout break toward the license with the smallest null
-    expectation; the argmax is not otherwise unique.
+    An explicit menu offers its licenses; the menu of all rescaled e-values
+    offers only its closed-form argmax, ``np_best_response``, and nothing to
+    null and negative types, who never profit from it. The agent opts in
+    only when the best expected profit is strictly positive; ties at zero
+    mean opting out. Ties in expected payout break toward the license with
+    the smallest null expectation; the argmax is not otherwise unique.
     """
     menu = contract.menu
-    if not menu.is_explicit:
-        # The argmax over all rescaled e-values is the closed-form
-        # all-or-nothing license; null and negative types never profit.
-        if theta <= 0.0:
-            return AgentDecision(None, 0.0)
-        best = np_best_response(0.0, theta, contract.cost, contract.cap)
-        profit = null_expectation(best, GaussianModel(theta)) - contract.cost
-        if profit > 0.0:
-            return AgentDecision(best, profit)
+    if menu.is_explicit:
+        candidates = menu.licenses
+    elif theta <= 0.0:
         return AgentDecision(None, 0.0)
-
+    else:
+        candidates = (np_best_response(contract.cost, contract.cap),)
     model = GaussianModel(theta)
     null = GaussianModel(0.0)
     best_f = None
     best_value = -math.inf
-    best_null = math.inf
-    for f in menu.licenses:
+    for f in candidates:
         value = null_expectation(f, model)
-        tie_break = null_expectation(f, null)
-        if value > best_value or (value == best_value and tie_break < best_null):
-            best_f, best_value, best_null = f, value, tie_break
-    if best_f is not None and best_value - contract.cost > 0.0:
+        if value > best_value or (
+            value == best_value
+            and null_expectation(f, null) < null_expectation(best_f, null)
+        ):
+            best_f, best_value = f, value
+    if best_value - contract.cost > 0.0:
         return AgentDecision(best_f, best_value - contract.cost)
     return AgentDecision(None, 0.0)
 

@@ -231,7 +231,7 @@ def test_criterion_8_multiround_simulation_properties():
         for theta in (0.5, 1.0, 1.645, 2.5):
             dp = backward_induction(horizon, cost, theta, grid)
             multi = simulate_policy(dp, theta, reps, RandomStream(seed, stream_index))
-            five_license = np_best_response(0.0, theta, pooled_cost, cap, sd=pooled_sd)
+            five_license = np_best_response(pooled_cost, cap, sd=pooled_sd)
             z = sample_normal(
                 GaussianModel(theta, pooled_sd),
                 RandomStream(seed, stream_index + 1),

@@ -723,6 +723,15 @@ PINNED_RUNS = {
         "manifest.txt":
             "b8bd89fe62d848c582d67582d58df529cb00a6f50491f0b414bb52925a573a3d",
     }),
+    # ratio 0.5 puts the threshold at upper_tail_inverse(0.5), which is -0.0;
+    # the file must spell it 0, not -0
+    "best-response/half": (["--param", "cap=3", "--param", "cost_ratios=0.5,0.25",
+                            "--param", "theta_grid=0.5,1"], {
+        "best_response.csv":
+            "4954362c2d9cb51084b56f525df807dbbf5d20f9f9ca8a853cabbc428f6ae1dd",
+        "manifest.txt":
+            "547d41634af3feab91c21d4ea28d91325a9342aaf0a7c116341ffb02ae240d54",
+    }),
     "evalue-growth": (["--param", "n_max=40", "--reps", "200"], {
         "evalue_growth.csv":
             "0f6c9eab217ee4293a14359adc74be98894d40479a3c4fd7b663d8da57beb35f",
@@ -896,16 +905,15 @@ class TestMultiroundCommonRandomNumbers:
     def config(self, tmp_path, **extra):
         return resolve_config("multiround", tmp_path / "m", overrides={**self.OVERRIDES, **extra})
 
-    # the bluffing cell (theta -0.5) designs its licenses for theta_star
+    # the bluffing cell (theta -0.5) plays the same licenses as any other
     @pytest.mark.parametrize("cap, theta1, index", ((1.0, 0.5, 0), (5.0, 0.5, 2), (5.0, -0.5, 3)))
     def test_agents_read_the_cell_matrix(self, tmp_path, cap, theta1, index):
         config = self.config(tmp_path)
         _, episodes, one, five = experiments._multiround_cell(config, cap, theta1, index)
         z = sample_normal(GaussianModel(theta1), RandomStream(config["seed"], index), (300, 3))
         assert np.array_equal(episodes.evidence, z)
-        design = theta1 if theta1 > 0.0 else config["theta_star"]
-        same_cost = np_best_response(0.0, design, 0.1, cap)
-        pooled = np_best_response(0.0, design, 3 * 0.1, cap, sd=1.0 / np.sqrt(3))
+        same_cost = np_best_response(0.1, cap)
+        pooled = np_best_response(3 * 0.1, cap, sd=1.0 / np.sqrt(3))
         assert np.array_equal(one, same_cost(z[:, 0]))
         assert np.array_equal(five, pooled(z.mean(axis=1)))
 
@@ -1010,8 +1018,7 @@ class TestBestResponseCommand:
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(data=st.data())
     def test_csv_matches_one_license_per_row(self, data):
-        # the oracle builds a license per (ratio, effect) and writes float rows;
-        # subnormal caps reach the constant license, whose threshold is -inf
+        # the oracle builds a license per (ratio, effect) and writes float rows
         cap = data.draw(st.sampled_from([1.0, 3.0, 1e-300, 1e-310, 5e-324, 1e300])
                         | st.floats(1e-3, 1e3))
         ratio = st.sampled_from([0.9999999999999999, 0.6, 0.1, 1e-300, 5e-324]) | st.floats(
@@ -1023,12 +1030,12 @@ class TestBestResponseCommand:
             grid = data.draw(st.lists(values, min_size=1, max_size=5))
             grids.append(grid + grid[:data.draw(st.integers(0, len(grid)))])
         ratios, thetas = grids
-        assume(all(r * cap > 0.0 for r in ratios))
+        assume(all(0.0 < r * cap < cap for r in ratios))
         header = ["cost_ratio", "theta1", "threshold", "power", "expected_profit"]
         rows = []
         for r in ratios:
             for theta1 in thetas:
-                threshold = np_best_response(0.0, theta1, r * cap, cap).approval_threshold()
+                threshold = np_best_response(r * cap, cap).approval_threshold()
                 power = upper_tail(threshold - theta1)
                 rows.append((r, theta1, threshold, power, cap * power - r * cap))
         with tempfile.TemporaryDirectory() as tmp:

@@ -227,10 +227,21 @@ def test_cli_rejects_welfare_cap_before_writing(tmp_path, capsys, params):
     assert not out.exists()
 
 
-def test_cli_rejects_best_response_cost_underflow_before_writing(tmp_path, capsys):
-    # in-domain keys whose product, the cost, underflows to 0
+@pytest.mark.parametrize(
+    "params",
+    [
+        # in-domain keys whose product, the cost, underflows to 0
+        ["cap=5e-324"],
+        # ... or rounds up to the cap
+        ["cap=5e-324", "cost_ratios=0.6,0.9999999999999999", "theta_grid=1"],
+        ["cap=1e-310", "cost_ratios=0.9999999999999999"],
+    ],
+)
+def test_cli_rejects_best_response_cost_out_of_range_before_writing(tmp_path, capsys, params):
     out = tmp_path / "out"
-    argv = ["best-response", "--out", str(out), "--param", "cap=5e-324"]
+    argv = ["best-response", "--out", str(out)]
+    for param in params:
+        argv += ["--param", param]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "bad value for 'cap' and 'cost_ratios'" in err

@@ -38,7 +38,7 @@ class TestSingleRoundReduction:
         policy = backward_induction(1, 0.05, 1.0, grid)
         assert policy.root_value == pytest.approx(np_profit(0.05, 1.0, 1.0), abs=1e-8)
         update = policy.action(1, 0)
-        reference = np_best_response(0.0, 1.0, 0.05, 1.0)
+        reference = np_best_response(0.05, 1.0)
         assert len(update.breakpoints) == 1
         assert update.breakpoints[0] == pytest.approx(
             reference.breakpoints[0], abs=1e-6

@@ -373,7 +373,7 @@ class TestOptimalStep:
                 1.0,
                 ratio,
             )
-            reference = np_best_response(0.0, 1.0, ratio, 1.0)
+            reference = np_best_response(ratio, 1.0)
             assert len(update.breakpoints) == 1
             assert update.values == (0.0, 1.0)
             assert update.breakpoints[0] == pytest.approx(

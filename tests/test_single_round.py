@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from evcontracts import (
     AgentDecision,
@@ -32,36 +33,38 @@ def status_quo(cost: float, cap: float) -> Contract:
 
 class TestNpBestResponse:
     def test_five_percent_level(self):
-        f = np_best_response(0.0, 1.0, 0.05, 1.0)
+        f = np_best_response(0.05, 1.0)
         assert f.breakpoints[0] == pytest.approx(1.6449, abs=1e-4)
         assert f.values == (0.0, 1.0)
 
     def test_cost_at_cap_degenerates(self):
-        assert np_best_response(0.0, 1.0, 1.0, 1.0) == constant_license(1.0)
-        assert np_best_response(0.0, 1.0, 2.0, 1.0) == constant_license(1.0)
+        assert np_best_response(1.0, 1.0) == constant_license(1.0)
+        assert np_best_response(2.0, 1.0) == constant_license(1.0)
 
     def test_low_ratio_threshold(self):
-        f = np_best_response(0.0, 1.0, 0.002, 1.0)
+        f = np_best_response(0.002, 1.0)
         # frozen from the bisection oracle
         assert f.breakpoints[0] == pytest.approx(2.878161739095484, abs=1e-6)
         assert f.breakpoints[0] == pytest.approx(2.878, abs=1e-3)
 
     @pytest.mark.parametrize("cost,cap", [(0.05, 1.0), (0.3, 2.0), (4.0, 5.0)])
     def test_null_expectation_binds(self, cost, cap):
-        f = np_best_response(0.0, 1.0, cost, cap)
+        f = np_best_response(cost, cap)
         assert null_expectation(f, NULL) == pytest.approx(min(cost, cap), abs=1e-9)
-
-    def test_direction_error(self):
-        with pytest.raises(ValueError):
-            np_best_response(0.0, 0.0, 0.1, 1.0)
-        with pytest.raises(ValueError):
-            np_best_response(0.5, -0.5, 0.1, 1.0)
 
     def test_scaled_evidence(self):
         sd = 1.0 / math.sqrt(5.0)
-        f = np_best_response(0.0, 1.0, 0.5, 1.0, sd=sd)
+        f = np_best_response(0.5, 1.0, sd=sd)
         assert f.breakpoints[0] == pytest.approx(sd * upper_tail_inverse(0.5), abs=1e-12)
         assert null_expectation(f, GaussianModel(0.0, sd)) == pytest.approx(0.5, abs=1e-9)
+
+    # upper_tail_inverse(0.5) is -0.0, but the threshold is +0.0, so the CSV
+    # spells it 0, not -0
+    @pytest.mark.parametrize("sd", [1.0, 1.0 / math.sqrt(5.0)])
+    def test_zero_threshold_is_positive_zero(self, sd):
+        f = np_best_response(1.5, 3.0, sd)
+        assert f.breakpoints[0] == 0.0
+        assert math.copysign(1.0, f.breakpoints[0]) == 1.0
 
 
 class TestStatusQuo:
@@ -89,7 +92,7 @@ class TestExpectedLicense:
         assert null_expectation(constant_license(2.0), GaussianModel(-3.0)) == 2.0
 
     def test_np_under_null_returns_cost(self):
-        f = np_best_response(0.0, 1.0, 0.05, 1.0)
+        f = np_best_response(0.05, 1.0)
         assert null_expectation(f, NULL) == pytest.approx(0.05, abs=1e-9)
 
 
@@ -136,17 +139,39 @@ class TestAgentDecide:
         decision = agent_decide(2.0, contract)
         assert decision.chosen_license == f_high
 
-    def test_tie_break_prefers_smaller_null_mass(self):
+    @pytest.mark.parametrize("step_first", [False, True], ids=["constant_first", "step_first"])
+    def test_tie_break_prefers_smaller_null_mass(self, step_first):
         # a step license and the constant equal to its alternative value tie
-        # exactly in expected payout; the step one has the smaller null mass
+        # exactly in expected payout; the step one has the smaller null mass,
+        # and wins whichever of the two the menu lists first
         theta = 1.0
         step = LicenseFn([0.5], [0.0, 2.0])
         tied_constant = constant_license(
             null_expectation(step, GaussianModel(theta))
         )
-        contract = Contract(Menu.explicit([tied_constant, step], 0.5), 3.0)
+        licenses = [step, tied_constant] if step_first else [tied_constant, step]
+        contract = Contract(Menu.explicit(licenses, 0.5), 3.0)
         decision = agent_decide(theta, contract)
         assert decision.chosen_license == step
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(
+        theta=st.floats(-10.0, 10.0),
+        cost=st.floats(1e-6, 1e3),
+        ratio=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_all_evalues_decide_as_the_one_license_menu(self, theta, cost, ratio):
+        # the menu of all rescaled e-values decides as the explicit menu of
+        # its closed-form argmax, bit for bit, and null and negative types
+        # opt out
+        cap = cost / ratio
+        assume(cost < cap < math.inf)
+        decision = agent_decide(theta, aligned(cost, cap))
+        if theta <= 0.0:
+            assert decision == AgentDecision(None, 0.0)
+        else:
+            one = Contract(Menu.explicit([np_best_response(cost, cap)], cost), cap)
+            assert decision == agent_decide(theta, one)
 
     def test_opt_out_at_exact_zero_profit(self):
         # constant license equal to the cost: profit exactly zero, stay out
@@ -176,7 +201,7 @@ class TestProperties:
         # no aligned license beats the all-or-nothing best response
         rng = np.random.default_rng(12)
         cost, cap, theta = 0.4, 3.0, 1.3
-        best = np_best_response(0.0, theta, cost, cap)
+        best = np_best_response(cost, cap)
         best_value = null_expectation(best, GaussianModel(theta))
         for _ in range(200):
             n_breaks = int(rng.integers(1, 5))
