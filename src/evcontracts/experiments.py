@@ -34,13 +34,13 @@ from .fda import (
 )
 from .gaussian import GaussianModel, RandomStream, mean_and_se, sample_normal, upper_tail
 from .single_round import np_best_response
-from .svgplot import render_lines
+from .svgplot import _CHUNK, render_lines
 from .welfare import HIGH_SEVERITY, LOW_SEVERITY, welfare_curve
 from .multiround import (
     LicenseGrid,
     MultiplierRangeError,
     backward_induction,
-    episodes_to_csv_rows,
+    episodes_to_csv_columns,
     simulate_policy,
 )
 
@@ -254,30 +254,37 @@ def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    """Comma-separated, header row, LF endings; each cell is ``_cell(v)``:
-    ``%.12g`` (12 significant digits) for a float or numpy float, ``str``
-    for anything else.
-
-    Each column's format is chosen once from the types of its cells, so a
-    row is one ``%`` formatting; a column that mixes floats with other types
-    goes through ``_cell`` cell by cell. Every row must have one cell per
-    header field (ValueError otherwise, before the file is opened).
+def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """Comma-separated, header row, LF endings, one column per header field;
+    each cell is ``_cell(v)``: ``%.12g`` (12 significant digits) for a float
+    or numpy float, ``str`` for anything else. A column's format is chosen
+    once, a numeric ndarray's from its dtype and any other's from its cells'
+    types (a column mixing floats with other types goes through ``_cell``);
+    rows are formatted ``_CHUNK`` at a time, one ``%`` each chunk. Columns not
+    one per header field or of unequal lengths raise ValueError before the
+    file is opened.
     """
-    if set(map(len, rows)) - {len(header)}:
-        raise ValueError(f"every row of {path.name} must have {len(header)} cells")
-    columns = list(zip(*rows))
-    # per column: {True} all floats, {False} none, {True, False} mixed
-    kinds = [{issubclass(t, _FLOATS) for t in set(map(type, c))} for c in columns]
-    if {True, False} in kinds:
-        rows = list(zip(*(
-            map(_cell, c) if k == {True, False} else c for c, k in zip(columns, kinds)
-        )))
-    del columns  # before the text is built: that is the writer's peak memory
-    template = ",".join("%.12g" if k == {True} else "%s" for k in kinds) + "\n"
-    text = ",".join(header) + "\n"
-    text += "".join([template % tuple(row) for row in rows])
-    path.write_text(text, encoding="utf-8")
+    if len(columns) != len(header) or len(set(map(len, columns))) > 1:
+        raise ValueError(f"{path.name} needs {len(header)} columns of one length")
+    formats, casts = [], []  # per column: its format, and the cells of a slice of it
+    for c in columns:
+        if isinstance(c, np.ndarray) and c.dtype.kind in "biuf":
+            kinds, cast = {c.dtype.kind == "f"}, np.ndarray.tolist
+        else:  # {True} all floats, {False} none, {True, False} mixed
+            kinds = {issubclass(t, _FLOATS) for t in set(map(type, c))}
+            cast = (lambda s: list(map(_cell, s))) if kinds == {True, False} else list
+        formats.append("%.12g" if kinds == {True} else "%s")
+        casts.append(cast)
+    n_rows, k = min(map(len, columns), default=0), len(columns)
+    template = ",".join(formats) + "\n"
+    chunks = [",".join(header) + "\n"]
+    for start in range(0, n_rows, _CHUNK):
+        m = min(_CHUNK, n_rows - start)
+        cells = [None] * (m * k)  # row-major: the slices' cells interleaved
+        for j, (c, cast) in enumerate(zip(columns, casts)):
+            cells[j::k] = cast(c[start:start + m])
+        chunks.append(template * m % tuple(cells))
+    path.write_text("".join(chunks), encoding="utf-8")
 
 
 @dataclass
@@ -323,7 +330,7 @@ def _write_outputs(config: ExperimentConfig, outputs: list, summary: dict) -> Ru
 def run_welfare(config: ExperimentConfig) -> RunResult:
     """Principal utility vs null share, aligned menu against the status quo."""
     n, cost = config["grid_points"], config["cost"]
-    pi0_grid = [0.0] if n == 1 else [i / (n - 1) for i in range(n)]
+    pi0_grid = np.arange(n) / max(n - 1, 1)  # each point i / (n - 1) rounded once
     outputs, summary = [], {}
     for label in ("a", "b"):
         ratio, severity_name = config[f"ratio_{label}"], config[f"severity_{label}"]
@@ -335,14 +342,14 @@ def run_welfare(config: ExperimentConfig) -> RunResult:
                 f"bad value for 'cost' and 'ratio_{label}': their product, the "
                 f"cap {cap!r}, must be finite and exceed cost {cost!r}"
             )
-        # one more row at pi0 = 1 for the summary, which the grid [0] lacks
-        *rows, at_1 = welfare_curve(
-            pi0_grid + [1.0], cost, cap, _SEVERITIES[severity_name], config["theta1"]
+        # one more point at pi0 = 1 for the summary, which the grid [0] lacks
+        curve = welfare_curve(
+            np.append(pi0_grid, 1.0), cost, cap, _SEVERITIES[severity_name], config["theta1"]
         )
-        pi0, aligned, status_quo = zip(*rows)
+        pi0, aligned, status_quo = (column[:-1] for column in curve)
         outputs += [
             (f"welfare_panel_{label}.csv", write_csv,
-             ["pi0", "utility_aligned", "utility_status_quo"], rows),
+             ["pi0", "utility_aligned", "utility_status_quo"], [pi0, aligned, status_quo]),
             (f"welfare_panel_{label}.svg", render_lines,
              [("aligned menu", pi0, aligned), ("status quo", pi0, status_quo)],
              f"Principal utility, cap/cost = {ratio:g}, {severity_name} severity",
@@ -351,8 +358,8 @@ def run_welfare(config: ExperimentConfig) -> RunResult:
         summary[f"panel_{label}"] = {
             "ratio": ratio,
             "severity": severity_name,
-            "aligned_min": min(aligned),
-            "status_quo_at_1": at_1[2],
+            "aligned_min": float(aligned.min()),
+            "status_quo_at_1": float(curve[2][-1]),
         }
     return _write_outputs(config, outputs, summary)
 
@@ -406,15 +413,15 @@ def run_evalue_growth(config: ExperimentConfig) -> RunResult:
             f"{n_max} observations overflows the e-value statistics"
         )
 
-    xs = ns.tolist()
-    series = [("mean log e-value", xs, mean_log_alt.tolist())]
-    series += [(f"path {i}", xs, path.tolist()) for i, path in enumerate(written[:3])]
+    series = [("mean log e-value", ns, mean_log_alt)]
+    series += [(f"path {i}", ns, path) for i, path in enumerate(written[:3])]
     outputs = [
         ("evalue_growth.csv", write_csv,
          ["n", "mean_log_e_alt", "se_log_e_alt", "mean_e_null", "se_e_null"],
-         list(zip(ns, mean_log_alt, se_log_alt, mean_e_null, se_e_null))),
+         [ns, mean_log_alt, se_log_alt, mean_e_null, se_e_null]),
+        # path i, row i of the matrix, is column i + 1
         ("evalue_growth_paths.csv", write_csv,
-         ["n"] + [f"log_e_path_{i}" for i in range(paths_out)], list(zip(ns, *written))),
+         ["n"] + [f"log_e_path_{i}" for i in range(paths_out)], [ns, *written]),
         ("evalue_growth.svg", render_lines, series,
          f"e-value growth, effect {theta1:g}", "sample size", "log e-value"),
     ]
@@ -439,14 +446,9 @@ def run_fda_audit(config: ExperimentConfig) -> RunResult:
         raise ReferenceDeviation(
             "default audit table disagrees with its committed verdicts"
         )
-    outputs = [(
-        "fda_audit.csv", write_csv,
-        ["protocol", "p_null_approval", "profit", "cost", "expected_value", "verdict"],
-        [
-            (r.protocol, r.p_null_approval, r.profit, r.cost, r.expected_value, r.verdict)
-            for r in rows
-        ],
-    )]
+    header = ["protocol", "p_null_approval", "profit", "cost", "expected_value", "verdict"]
+    outputs = [("fda_audit.csv", write_csv, header,  # each field an AuditRow attribute
+                [[getattr(r, name) for r in rows] for name in header])]
     summary = {
         "rows": len(rows),
         "reference_checked": is_default,
@@ -549,11 +551,12 @@ def run_multiround(config: ExperimentConfig) -> RunResult:
 
     outputs, star_summary = _star_outputs(star_row, *star_cell)
     for cap, rows in curve_summaries.items():
-        theta, multi, _, single, _, pooled, _ = zip(*rows)
+        columns = list(zip(*rows))
+        theta, multi, _, single, _, pooled, _ = columns
         outputs += [
             (f"multiround_profit_cap{cap:g}.csv", write_csv,
              ["theta1", "profit_multi", "se_multi", "profit_one_round", "se_one_round",
-              "profit_five_data", "se_five_data"], rows),
+              "profit_five_data", "se_five_data"], columns),
             (f"multiround_profit_cap{cap:g}.svg", render_lines,
              [("multi-round", theta, multi), ("one round", theta, single),
               ("one round, 5x data", theta, pooled)],
@@ -568,21 +571,22 @@ def _star_outputs(row: tuple, policy, episodes, one, five) -> tuple[list, dict]:
     plus the full policy table and per-episode ledger, and their summary.
     ``row`` is the focal cell's curve row, its mean profits net of costs;
     ``one`` and ``five`` are the one-round references' license payouts."""
-    terminal = []
+    agents, values, counts = [], [], []
     for name, payouts in (("multi_round", episodes.terminal_license),
                           ("one_round", one), ("five_data", five)):
-        values, counts = np.unique(payouts, return_counts=True)
-        terminal += [(name, v, c) for v, c in zip(values, counts)]
-    taus, tau_counts = np.unique(episodes.tau, return_counts=True)
+        v, c = np.unique(payouts, return_counts=True)
+        agents += [name] * len(v)
+        values.append(v)
+        counts.append(c)
     outputs = [
-        ("multiround_terminal.csv", write_csv,
-         ["agent", "terminal_license", "count"], terminal),
+        ("multiround_terminal.csv", write_csv, ["agent", "terminal_license", "count"],
+         [agents, np.concatenate(values), np.concatenate(counts)]),
         ("multiround_rounds.csv", write_csv,
-         ["rounds_used", "count"], list(zip(taus, tau_counts))),
+         ["rounds_used", "count"], np.unique(episodes.tau, return_counts=True)),
         ("multiround_policy.txt", Path.write_text, policy.export_text(), "utf-8"),
         ("multiround_episodes.csv", write_csv,
          ["rep", "tau", "terminal_license", "total_cost", "profit"],
-         episodes_to_csv_rows(episodes)),
+         episodes_to_csv_columns(episodes)),
     ]
     summary = {
         "p_terminal_cap": float(np.mean(episodes.terminal_license == policy.grid.cap)),
@@ -607,7 +611,7 @@ def run_best_response(config: ExperimentConfig) -> RunResult:
     cap = config["cap"]
     thetas = config["theta_grid"]
     theta_cells = list(map(_cell, thetas))
-    rows = []
+    ratio_cells, theta_col, threshold_cells, powers, profits = columns = [[], [], [], [], []]
     for ratio in config["cost_ratios"]:
         cost = ratio * cap
         # each key lies in its domain, but their product may underflow to 0
@@ -618,15 +622,17 @@ def run_best_response(config: ExperimentConfig) -> RunResult:
                 f"rounds to {cost!r} and must lie strictly between 0 and the cap"
             )
         threshold = np_best_response(cost, cap).approval_threshold()
-        ratio_cell, threshold_cell = _cell(ratio), _cell(threshold)
-        for theta1, theta_cell in zip(thetas, theta_cells):
-            power = upper_tail(threshold - theta1)
-            rows.append((ratio_cell, theta_cell, threshold_cell, power, cap * power - cost))
+        power = [upper_tail(threshold - theta1) for theta1 in thetas]
+        ratio_cells += [_cell(ratio)] * len(thetas)
+        theta_col += theta_cells
+        threshold_cells += [_cell(threshold)] * len(thetas)
+        powers += power
+        profits += [cap * p - cost for p in power]
     outputs = [(
         "best_response.csv", write_csv,
-        ["cost_ratio", "theta1", "threshold", "power", "expected_profit"], rows,
+        ["cost_ratio", "theta1", "threshold", "power", "expected_profit"], columns,
     )]
-    return _write_outputs(config, outputs, {"rows": len(rows)})
+    return _write_outputs(config, outputs, {"rows": len(powers)})
 
 
 RUNNERS: dict[str, Callable[[ExperimentConfig], RunResult]] = {

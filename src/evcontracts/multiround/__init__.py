@@ -20,7 +20,7 @@ from .simulate import (
     SingleStageStrategy,
     StrategyAction,
     SupermartingaleReport,
-    episodes_to_csv_rows,
+    episodes_to_csv_columns,
     random_factor_license,
     simulate_policy,
     simulate_strategy,
@@ -48,7 +48,7 @@ __all__ = [
     "SingleStageStrategy",
     "StrategyAction",
     "SupermartingaleReport",
-    "episodes_to_csv_rows",
+    "episodes_to_csv_columns",
     "random_factor_license",
     "simulate_policy",
     "simulate_strategy",

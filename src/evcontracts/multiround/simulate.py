@@ -283,7 +283,7 @@ def supermartingale_check(
     )
 
 
-def episodes_to_csv_rows(episodes: EpisodeBatch) -> list[tuple]:
-    """Rows (rep, tau, terminal_license, total_cost, profit) for export."""
-    columns = (episodes.tau, episodes.terminal_license, episodes.total_cost, episodes.profit)
-    return list(zip(range(len(episodes)), *(c.tolist() for c in columns)))
+def episodes_to_csv_columns(episodes: EpisodeBatch) -> list[np.ndarray]:
+    """Columns (rep, tau, terminal_license, total_cost, profit) for export."""
+    return [np.arange(len(episodes)), episodes.tau, episodes.terminal_license,
+            episodes.total_cost, episodes.profit]

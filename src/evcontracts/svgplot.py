@@ -46,8 +46,8 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-# Points formatted per call: bounds the temporary tuple of floats and the
-# format string, which for a whole 20 001-point series raise the peak memory.
+# Points (or write_csv's rows) formatted per call: bounds the temporary tuple
+# of floats and the format string, which for 20 001 points raise the peak memory.
 _CHUNK = 4096
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .gaussian import GaussianModel, upper_tail
 from .licenses import Menu, null_expectation
 from .single_round import Contract, agent_decide, status_quo_license
@@ -118,30 +120,22 @@ def welfare_curve(
     cap: float,
     welfare: WelfareSpec,
     theta1: float,
-) -> list[tuple[float, float, float]]:
-    """Rows (pi0, utility_aligned, utility_status_quo) on the null-share grid.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns (pi0, utility_aligned, utility_status_quo) on the null-share
+    grid, as float64 arrays.
 
     Both menus are built from the trial ``cost`` and the market ``cap``; the
     mixture puts mass pi0 on the null type 0 and the rest on theta1.
     """
-    if any(not 0.0 <= p <= 1.0 for p in pi0_grid):
+    pi0 = np.asarray(pi0_grid, dtype=float)
+    if not ((0.0 <= pi0) & (pi0 <= 1.0)).all():  # NaN fails both
         raise ValueError("pi0 grid values must lie in [0, 1]")
     # The mixture expectation is affine in pi0, so only the two endpoint
-    # utilities are computed per menu.
-    rows = []
-    for c in (aligned_contract(cost, cap), status_quo_contract(cost, cap)):
-        u_null = _type_utility(0.0, c, welfare)
-        u_alt = _type_utility(theta1, c, welfare)
-        rows.append((u_null, u_alt))
-    (a_null, a_alt), (s_null, s_alt) = rows
-    return [
-        (
-            pi0,
-            pi0 * a_null + (1.0 - pi0) * a_alt,
-            pi0 * s_null + (1.0 - pi0) * s_alt,
-        )
-        for pi0 in pi0_grid
-    ]
+    # utilities are computed per menu; each point rounds as the scalar
+    # pi0 * u_null + (1.0 - pi0) * u_alt does.
+    ends = [(_type_utility(0.0, c, welfare), _type_utility(theta1, c, welfare))
+            for c in (aligned_contract(cost, cap), status_quo_contract(cost, cap))]
+    return (pi0, *(pi0 * u_null + (1.0 - pi0) * u_alt for u_null, u_alt in ends))
 
 
 def maximin_check(

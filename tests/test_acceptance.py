@@ -154,15 +154,15 @@ def test_criterion_6_welfare_properties():
     tol = 1e-9
     ok = True
     for severity in (HIGH_SEVERITY, LOW_SEVERITY):
-        rows50 = welfare_curve(grid, 1.0, 50.0, severity, 1.0)
-        rows5 = welfare_curve(grid, 1.0, 5.0, severity, 1.0)
-        ok = ok and all(ua >= -tol for _, ua, _ in rows50 + rows5)
+        _, ua50, us50 = welfare_curve(grid, 1.0, 50.0, severity, 1.0)
+        pi0, ua5, us5 = welfare_curve(grid, 1.0, 5.0, severity, 1.0)
+        ok = ok and bool(np.all(ua50 >= -tol) and np.all(ua5 >= -tol))
         # loose status quo: null agents enter, utility 0.05*c1 at pi0 = 1
-        ok = ok and abs(rows50[-1][2] - 0.05 * severity.cost_null) <= tol
-        ok = ok and rows50[-1][2] < 0.0
+        ok = ok and abs(us50[-1] - 0.05 * severity.cost_null) <= tol
+        ok = ok and us50[-1] < 0.0
         # tight status quo: nonnegative everywhere, strictly dominated
-        ok = ok and all(us >= -tol for _, _, us in rows5)
-        ok = ok and all(ua > us for pi0, ua, us in rows5 if pi0 < 1.0)
+        ok = ok and bool(np.all(us5 >= -tol))
+        ok = ok and bool(np.all(ua5[pi0 < 1.0] > us5[pi0 < 1.0]))
     sq_power = upper_tail(upper_tail_inverse(0.05) - 1.0)
     np_power = upper_tail(upper_tail_inverse(0.2) - 1.0)
     ok = ok and abs(sq_power - 0.2595) <= 5e-5 and np_power > sq_power

@@ -85,7 +85,7 @@ def _record_calls(tmp_path):
             (episodes,), {"costs": [0.1] * 3}, {"replicates": 20, "flagged": 0}
         ),
         "experiments.write_csv": (
-            (csv, ["a", "b"], [(1, 2.5)]), {}, {"bytes": len("a,b\n1,2.5\n")}
+            (csv, ["a", "b"], [(1,), (2.5,)]), {}, {"bytes": len("a,b\n1,2.5\n")}
         ),
     }
 

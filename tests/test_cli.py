@@ -29,7 +29,7 @@ from evcontracts.experiments import (
 from evcontracts.multiround import (
     LicenseGrid,
     backward_induction,
-    episodes_to_csv_rows,
+    episodes_to_csv_columns,
     simulate_policy,
 )
 from evcontracts.single_round import np_best_response
@@ -261,6 +261,14 @@ class TestWelfareCommand:
         assert [s[p]["status_quo_at_1"] for s in summaries for p in ("panel_a", "panel_b")] == [
             0.0, -0.05000000000000002, 0.0, -0.05000000000000002]
 
+    def test_summary_prints_python_floats(self, tmp_path, capsys):
+        # the curves are arrays, but the summary spells its values as floats
+        assert main(["welfare", "--out", str(tmp_path / "w")]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "panel_b: {'ratio': 50.0, 'severity': 'low', 'aligned_min': 0.0, " \
+               "'status_quo_at_1': -0.05000000000000002}" in stdout
+        assert "np.float64(" not in stdout
+
     def test_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "w"
         args = ["welfare", "--out", str(out), "--param", "grid_points=31"]
@@ -380,8 +388,8 @@ class TestEvalueGrowthCommand:
         # path i is row i of the (reps, n_max) matrix drawn from stream 0
         written = {}
 
-        def record(path, header, rows):
-            written[path.name] = (header, rows)
+        def record(path, header, columns):
+            written[path.name] = (header, columns)
 
         monkeypatch.setattr(experiments, "write_csv", record)
         theta1, n_max, reps, seed = 0.3, 50, 20, 8
@@ -392,9 +400,9 @@ class TestEvalueGrowthCommand:
                        "seed": str(seed), "paths_out": "5"},
         )
         run_evalue_growth(config)
-        header, rows = written["evalue_growth_paths.csv"]
+        header, columns = written["evalue_growth_paths.csv"]
         assert header == ["n"] + [f"log_e_path_{i}" for i in range(5)]
-        paths = np.array([row[1:] for row in rows]).T
+        paths = np.array(columns[1:])
         z = sample_normal(GaussianModel(theta1), RandomStream(seed, 0), (reps, n_max))
         ns = np.arange(1, n_max + 1)
         expected = theta1 * np.cumsum(z[:5], axis=1) - ns * theta1**2 / 2.0
@@ -701,6 +709,20 @@ PINNED_RUNS = {
         "manifest.txt":
             "7edd93cb46ebb5fae55402bb4775ba0e99179c80b71fbb26cb12c29c4f5bfb9f",
     }),
+    # 4097 rows cross the CSV writer's 4096-row chunk edge and the SVG
+    # writer's 4096-point one
+    "welfare/4097": (["--param", "grid_points=4097"], {
+        "welfare_panel_a.csv":
+            "5b3d1524943ef95a17ccce6127fa4c1a62e630ec9c12be9f3ea0dd82ee01f60d",
+        "welfare_panel_a.svg":
+            "75de1d767540af015c83e839f616eebea156b6a6540aed3448ffcc8c9040217c",
+        "welfare_panel_b.csv":
+            "0ad5f3b37bb3af20bc21c7b15cb0d6e89ca861b8ced47ba43efa9facc0487184",
+        "welfare_panel_b.svg":
+            "61a5bbed2cdc370a76198381f8ff7d4a3b96cae4137f6eef47c357a1f2dcdf67",
+        "manifest.txt":
+            "5d09fd0f7f2fccaf2985759e0c464ce2da8f8a883590a62901a6b25a9637655f",
+    }),
     "fda-audit": ([], {
         "fda_audit.csv":
             "621af056428dd9b1066f3aaf8112871e58d23329bbc121e8ad3395a6be8fbc7e",
@@ -927,7 +949,7 @@ class TestMultiroundCommonRandomNumbers:
         )
         path = tmp_path / "expected.csv"
         write_csv(path, ["rep", "tau", "terminal_license", "total_cost", "profit"],
-                  episodes_to_csv_rows(expected))
+                  episodes_to_csv_columns(expected))
         assert (tmp_path / "m" / "multiround_episodes.csv").read_bytes() == path.read_bytes()
 
     def test_one_round_and_pooled_agree_at_horizon_one(self, tmp_path):
@@ -990,12 +1012,13 @@ class TestBestResponseCommand:
             return scored[-1]
 
         monkeypatch.setattr(experiments, "np_best_response", best_response)
-        monkeypatch.setattr(experiments, "write_csv", lambda path, header, rows: written.extend(rows))
+        monkeypatch.setattr(experiments, "write_csv",
+                            lambda path, header, columns: written.extend(columns))
         argv = ["best-response", "--out", str(tmp_path / "b"), "--param", "cap=3",
                 "--param", "cost_ratios=0.1", "--param", "theta_grid=1"]
         assert main(argv) == EXIT_OK
         [license] = scored
-        [(_, _, threshold, power, _)] = written
+        [_, _, [threshold], [power], _] = written
         assert threshold == experiments._cell(license.breakpoints[0])
         assert power == upper_tail(license.breakpoints[0] - 1.0)
         assert power != upper_tail(upper_tail_inverse(0.1) - 1.0)
@@ -1032,12 +1055,14 @@ class TestBestResponseCommand:
         ratios, thetas = grids
         assume(all(0.0 < r * cap < cap for r in ratios))
         header = ["cost_ratio", "theta1", "threshold", "power", "expected_profit"]
-        rows = []
+        columns = [[], [], [], [], []]
         for r in ratios:
             for theta1 in thetas:
                 threshold = np_best_response(r * cap, cap).approval_threshold()
                 power = upper_tail(threshold - theta1)
-                rows.append((r, theta1, threshold, power, cap * power - r * cap))
+                for column, cell in zip(columns, (r, theta1, threshold, power,
+                                                  cap * power - r * cap)):
+                    column.append(cell)
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
             config = resolve_config("best_response", out, overrides={
@@ -1046,7 +1071,7 @@ class TestBestResponseCommand:
                 "theta_grid": ",".join(map(repr, thetas)),
             })
             experiments.run_best_response(config)
-            write_csv(Path(tmp) / "oracle.csv", header, rows)
+            write_csv(Path(tmp) / "oracle.csv", header, columns)
             assert (out / "best_response.csv").read_bytes() == (
                 Path(tmp) / "oracle.csv").read_bytes()
 

@@ -15,7 +15,7 @@ from evcontracts.multiround import (
     RandomizedAlignedStrategy,
     SingleStageStrategy,
     backward_induction,
-    episodes_to_csv_rows,
+    episodes_to_csv_columns,
     random_factor_license,
     simulate_policy,
     simulate_strategy,
@@ -155,11 +155,12 @@ class TestSimulatePolicy:
             assert got.dtype == expected[name].dtype, name
             assert np.array_equal(got, expected[name]), name
 
-    def test_csv_rows(self):
+    def test_csv_columns(self):
         episodes = simulate_policy(POLICY, 1.2, 10, RandomStream(37, 0))
-        rows = episodes_to_csv_rows(episodes)
-        assert len(rows) == 10
-        assert rows[0][0] == 0
+        columns = episodes_to_csv_columns(episodes)
+        assert len(columns) == 5
+        assert all(len(c) == 10 for c in columns)
+        assert columns[0].tolist() == list(range(10))
 
 
 class TestSimulateStrategy:

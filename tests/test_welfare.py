@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from evcontracts import (
     Contract,
@@ -20,6 +23,7 @@ from evcontracts import (
     upper_tail_inverse,
     welfare_curve,
 )
+from evcontracts.welfare import _type_utility
 
 NULL = GaussianModel(0.0)
 STATUS_QUO_POWER = upper_tail(upper_tail_inverse(0.05) - 1.0)  # 0.2595...
@@ -45,38 +49,73 @@ class TestPrincipalUtility:
         assert s == pytest.approx(expected, abs=1e-9)
 
 
+# the null shares at the ends of [0, 1], the smallest above 0 and the largest below 1
+EDGE_PI0 = (0.0, -0.0, 1.0, 5e-324, 1.0 - 2**-53)
+
+
+def per_row_curve(pi0_grid, cost, cap, welfare, theta1):
+    """The row-by-row welfare curve the array version replaced: the oracle."""
+    endpoints = []
+    for c in (aligned_contract(cost, cap), status_quo_contract(cost, cap)):
+        endpoints.append((_type_utility(0.0, c, welfare), _type_utility(theta1, c, welfare)))
+    (a_null, a_alt), (s_null, s_alt) = endpoints
+    return [
+        (pi0, pi0 * a_null + (1.0 - pi0) * a_alt, pi0 * s_null + (1.0 - pi0) * s_alt)
+        for pi0 in pi0_grid
+    ]
+
+
 class TestWelfareCurve:
     def test_low_ratio_aligned_dominates(self):
         grid = [i / 100 for i in range(101)]
-        rows = welfare_curve(grid, 1.0, 5.0, HIGH_SEVERITY, 1.0)
-        for pi0, ua, us in rows:
-            assert ua >= us - 1e-12
-            if pi0 < 1.0:
-                assert ua > us
-        assert rows[-1][1] == pytest.approx(0.0, abs=1e-12)
-        assert rows[-1][2] == pytest.approx(0.0, abs=1e-12)
+        pi0, ua, us = welfare_curve(grid, 1.0, 5.0, HIGH_SEVERITY, 1.0)
+        assert np.all(ua >= us - 1e-12)
+        assert np.all(ua[pi0 < 1.0] > us[pi0 < 1.0])
+        assert ua[-1] == pytest.approx(0.0, abs=1e-12)
+        assert us[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_high_ratio_endpoints(self):
-        rows = welfare_curve([0.0, 1.0], 1.0, 50.0, LOW_SEVERITY, 1.0)
-        assert rows[1][1] == 0.0
-        assert rows[1][2] == pytest.approx(0.05 * LOW_SEVERITY.cost_null, abs=1e-9)
+        _, ua, us = welfare_curve([0.0, 1.0], 1.0, 50.0, LOW_SEVERITY, 1.0)
+        assert ua[1] == 0.0
+        assert us[1] == pytest.approx(0.05 * LOW_SEVERITY.cost_null, abs=1e-9)
 
     def test_mixture_midpoint_is_average(self):
-        rows = welfare_curve([0.0, 0.5, 1.0], 1.0, 5.0, HIGH_SEVERITY, 1.0)
-        for col in (1, 2):
-            assert rows[1][col] == pytest.approx(
-                0.5 * (rows[0][col] + rows[2][col]), abs=1e-12
-            )
+        columns = welfare_curve([0.0, 0.5, 1.0], 1.0, 5.0, HIGH_SEVERITY, 1.0)
+        for col in columns[1:]:
+            assert col[1] == pytest.approx(0.5 * (col[0] + col[2]), abs=1e-12)
 
     def test_affine_in_pi0(self):
-        rows = welfare_curve([0.1, 0.4, 0.7], 1.0, 50.0, HIGH_SEVERITY, 1.0)
-        for col in (1, 2):
-            lo, mid, hi = (r[col] for r in rows)
+        columns = welfare_curve([0.1, 0.4, 0.7], 1.0, 50.0, HIGH_SEVERITY, 1.0)
+        for lo, mid, hi in columns[1:]:
             assert mid == pytest.approx(0.5 * (lo + hi), abs=1e-9)
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            welfare_curve([-0.1], 1.0, 5.0, HIGH_SEVERITY, 1.0)
+    @pytest.mark.parametrize("grid", ([-0.1], [1.0 + 2**-52], [-5e-324], [math.nan],
+                                      [0.0, math.nan, 1.0], [math.inf]))
+    @pytest.mark.parametrize("as_array", (False, True))
+    def test_grid_validation(self, grid, as_array):
+        with pytest.raises(ValueError, match="must lie in"):
+            welfare_curve(np.array(grid) if as_array else grid, 1.0, 5.0, HIGH_SEVERITY, 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        grid=st.lists(st.floats(0.0, 1.0) | st.sampled_from(EDGE_PI0), max_size=12),
+        ratio=st.sampled_from([5.0, 20.0, 50.0]) | st.floats(1.01, 1e3),
+        severity=st.sampled_from([HIGH_SEVERITY, LOW_SEVERITY]),
+        theta1=st.sampled_from([1.0, 1.645]) | st.floats(1e-3, 10.0),
+    )
+    def test_columns_match_the_per_row_expression(self, grid, ratio, severity, theta1):
+        grid = grid + list(EDGE_PI0)
+        columns = welfare_curve(grid, 1.0, ratio, severity, theta1)
+        rows = per_row_curve(grid, 1.0, ratio, severity, theta1)
+        assert all(c.dtype == np.float64 for c in columns)
+        for column, expected in zip(columns, zip(*rows)):
+            assert column.tobytes() == np.array(expected).tobytes()  # -0.0 too
+
+    @pytest.mark.parametrize("n", (1, 2, 101, 20_001))
+    def test_array_grid_is_the_list_grid(self, n):
+        # the grid run_welfare builds, against each point i / (n - 1) in floats
+        listed = [0.0] if n == 1 else [i / (n - 1) for i in range(n)]
+        assert (np.arange(n) / max(n - 1, 1)).tobytes() == np.array(listed).tobytes()
 
 
 class TestMaximin:
@@ -127,8 +166,8 @@ class TestManyNullsLimit:
     def test_aligned_menu_nonnegative_on_grid(self):
         grid = [i / 100 for i in range(101)]
         for severity in (HIGH_SEVERITY, LOW_SEVERITY):
-            rows = welfare_curve(grid, 1.0, 50.0, severity, 1.0)
-            assert all(ua >= -1e-12 for _, ua, _ in rows)
+            _, ua, _ = welfare_curve(grid, 1.0, 50.0, severity, 1.0)
+            assert np.all(ua >= -1e-12)
 
 
 class TestLinearUtilityOptimality:

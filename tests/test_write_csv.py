@@ -1,5 +1,6 @@
-"""write_csv formats a column at a time; its bytes must be those of the
-cell-by-cell writer it replaced, kept here as the oracle."""
+"""write_csv takes columns and formats a chunk of rows at a time; its bytes
+must be those of the cell-by-cell writer it replaced, kept here as the
+oracle."""
 
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from evcontracts.experiments import _cell, write_csv
+from evcontracts.experiments import _CHUNK, _cell, write_csv
 from evcontracts.fda import Verdict
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e12, 1e-7, 0.1)
@@ -31,47 +32,82 @@ KINDS = {
     "Verdict": st.sampled_from(Verdict),
 }
 KINDS["mixed"] = st.one_of(*KINDS.values())
+# one-kind columns that may also be handed over as an ndarray of this dtype
+DTYPES = {"float": np.float64, "np.float64": np.float64, "np.float32": np.float32,
+          "np.int64": np.int64, "bool": np.bool_}
 
 
 @st.composite
 def tables(draw):
     kinds = draw(st.lists(st.sampled_from(sorted(KINDS)), min_size=1, max_size=5))
     n_rows = draw(st.integers(0, 8))
-    row_type = draw(st.sampled_from((tuple, list)))
-    rows = [row_type(draw(KINDS[kind]) for kind in kinds) for _ in range(n_rows)]
-    return [f"c{i}" for i in range(len(kinds))], rows
+    columns = []
+    for kind in kinds:
+        cells = [draw(KINDS[kind]) for _ in range(n_rows)]
+        if kind in DTYPES and draw(st.booleans()):
+            columns.append(np.array(cells, dtype=DTYPES[kind]))
+        else:
+            columns.append(draw(st.sampled_from((tuple, list)))(cells))
+    return [f"c{i}" for i in range(len(kinds))], columns
 
 
 @settings(max_examples=300, deadline=None)
 @given(tables())
 def test_matches_the_cell_by_cell_writer(tmp_path_factory, table):
-    header, rows = table
+    header, columns = table
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    write_csv(path, header, rows)
-    assert path.read_bytes() == cell_by_cell(header, rows)
+    write_csv(path, header, columns)
+    assert path.read_bytes() == cell_by_cell(header, zip(*columns))
 
 
-def test_edge_values_in_every_column_kind(tmp_path):
+@pytest.mark.parametrize("as_arrays", (False, True))
+def test_edge_values_in_every_column_kind(tmp_path, as_arrays):
     header = ["float", "f64", "f32", "i64", "bool", "verdict", "mixed"]
     rows = [
         [v, np.float64(v), np.float32(v), np.int64(i), i % 2 == 0, list(Verdict)[i % 3],
          (v, np.int64(i), True, Verdict.ALIGNED, "s")[i % 5]]
         for i, v in enumerate(EDGE_FLOATS)
     ]
+    columns = [list(c) for c in zip(*rows)]
+    if as_arrays:  # the float, f64, f32, i64 and bool columns
+        columns[:5] = map(np.array, columns[:5])
+        assert [c.dtype for c in columns[:5]] == [np.float64, np.float64, np.float32,
+                                                 np.int64, np.bool_]
     path = tmp_path / "t.csv"
-    write_csv(path, header, rows)
+    write_csv(path, header, columns)
     assert path.read_bytes() == cell_by_cell(header, rows)
 
 
-def test_zero_rows_write_the_header(tmp_path):
+@pytest.mark.parametrize("n_rows", (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1))
+def test_rows_across_chunk_edges(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    values = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-20, 20, n_rows)
+    columns = [
+        values,
+        np.arange(n_rows),
+        values.astype(np.float32),
+        values.tolist(),
+        [(v, i, "s")[i % 3] for i, v in enumerate(values.tolist())],
+    ]
+    header = [f"c{i}" for i in range(len(columns))]
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b"], [])
+    write_csv(path, header, columns)
+    assert path.read_bytes() == cell_by_cell(header, zip(*columns))
+
+
+def test_zero_length_columns_write_the_header(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b"], [[], np.empty(0)])
     assert path.read_bytes() == b"a,b\n"
 
 
-@pytest.mark.parametrize("rows", ([(1.0,)], [(1.0, 2.0), (1.0, 2.0, 3.0)]))
-def test_a_row_of_another_width_than_the_header_raises(tmp_path, rows):
+@pytest.mark.parametrize("columns", (
+    [[1.0], [1.0, 2.0]],  # unequal lengths
+    [[1.0]],  # fewer columns than header fields
+    [[1.0], [2.0], [3.0]],  # more
+))
+def test_columns_that_do_not_fit_the_header_raise(tmp_path, columns):
     path = tmp_path / "t.csv"
-    with pytest.raises(ValueError, match="must have 2 cells"):
-        write_csv(path, ["a", "b"], rows)
+    with pytest.raises(ValueError, match="needs 2 columns of one length"):
+        write_csv(path, ["a", "b"], columns)
     assert not path.exists()
