@@ -260,9 +260,9 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) ->
     or numpy float, ``str`` for anything else. A column's format is chosen
     once, a numeric ndarray's from its dtype and any other's from its cells'
     types (a column mixing floats with other types goes through ``_cell``);
-    rows are formatted ``_CHUNK`` at a time, one ``%`` each chunk. Columns not
-    one per header field or of unequal lengths raise ValueError before the
-    file is opened.
+    rows are formatted ``_CHUNK`` at a time, one ``%`` each chunk, and each
+    chunk is written as it is formatted. Columns not one per header field or
+    of unequal lengths raise ValueError before the file is opened.
     """
     if len(columns) != len(header) or len(set(map(len, columns))) > 1:
         raise ValueError(f"{path.name} needs {len(header)} columns of one length")
@@ -277,14 +277,14 @@ def write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence]) ->
         casts.append(cast)
     n_rows, k = min(map(len, columns), default=0), len(columns)
     template = ",".join(formats) + "\n"
-    chunks = [",".join(header) + "\n"]
-    for start in range(0, n_rows, _CHUNK):
-        m = min(_CHUNK, n_rows - start)
-        cells = [None] * (m * k)  # row-major: the slices' cells interleaved
-        for j, (c, cast) in enumerate(zip(columns, casts)):
-            cells[j::k] = cast(c[start:start + m])
-        chunks.append(template * m % tuple(cells))
-    path.write_text("".join(chunks), encoding="utf-8")
+    with path.open("w", encoding="utf-8", newline="") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, n_rows, _CHUNK):
+            m = min(_CHUNK, n_rows - start)
+            cells = [None] * (m * k)  # row-major: the slices' cells interleaved
+            for j, (c, cast) in enumerate(zip(columns, casts)):
+                cells[j::k] = cast(c[start:start + m])
+            f.write(template * m % tuple(cells))
 
 
 @dataclass

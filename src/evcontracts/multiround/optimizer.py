@@ -140,10 +140,11 @@ def _spend_slope(increments: np.ndarray, y: np.ndarray, theta: float) -> np.ndar
         return density.sum(axis=1) / (-theta * _SQRT_2PI)
 
 
-def _alternative_values(v: PLCValue, n_knots: int, y: np.ndarray, theta: float) -> np.ndarray:
-    """E_theta[v(update)] of each row's update with breakpoints y: the value
-    steps priced by _spend at the breakpoints shifted by -theta."""
-    return float(v.values[0]) + _spend(np.diff(v.values[: n_knots + 1]), y - theta)
+def _alternative_values(v: PLCValue, y: np.ndarray, theta: float) -> np.ndarray:
+    """E_theta[v(update)] of each row's update with breakpoints y, one per
+    positive-slope knot: the value steps priced by _spend at the breakpoints
+    shifted by -theta."""
+    return float(v.values[0]) + _spend(np.diff(v.values[: y.shape[-1] + 1]), y - theta)
 
 
 def null_expectation_of_update(v: PLCValue, lam: float, theta: float) -> float:
@@ -260,14 +261,13 @@ def solve_lambda(v: PLCValue, theta: float, budget):
     """Multiplier exp(u) whose update spends the null budget exactly, u the root
     _solve_log_lambda certifies; the result has the shape of ``budget``."""
     budgets = _checked_budgets(theta, np.atleast_1d(budget))
-    lam = np.exp(_solve_log_lambda(*_positive_slope_prefix(v), theta, budgets)[0])
+    lam = np.exp(_solve_log_lambda(*_positive_slope_prefix(v), theta, budgets, v)[0])
     return float(lam[0]) if np.ndim(budget) == 0 else lam
 
 
-def _solve_log_lambda(knots, log_slopes, theta: float, budgets: np.ndarray, value=None):
+def _solve_log_lambda(knots, log_slopes, theta: float, budgets: np.ndarray, value: PLCValue):
     """Log-multipliers u whose updates on the positive-slope ``knots`` of
-    ``value`` spend ``budgets``, and the updates' alternative values (None
-    without ``value``, which only they need).
+    ``value`` spend ``budgets``, and the updates' alternative values.
 
     The null spend S(u) = sum_k inc_k * P_0(z >= theta/2 - (l_k - u)/theta),
     with u = log lambda and l_k the nonincreasing log-slopes, is a mixture of
@@ -293,12 +293,12 @@ def _solve_log_lambda(knots, log_slopes, theta: float, budgets: np.ndarray, valu
     resolution short of the tolerance raises RuntimeError.
 
     The alternative value A(u) = v(0) + sum_k dv_k * P_0(z >= y_k - theta),
-    dv_k the value's steps, is as smooth in u as S. So it is read off an
-    interpolant on the same fit cells, built from _alternative_values at the
-    nodes' breakpoint matrix, at each certified root: the certify pass stays
-    the only dense pass over the budgets. A cell whose interpolant fails
-    _alternative_fit's error test prices its roots exactly instead, by
-    _alternative_values at the breakpoints of the pass that certified them.
+    dv_k the value's steps, is as smooth in u as S. So before the loop each
+    fit cell's interpolant of A is built from _alternative_values at the
+    nodes' breakpoint matrix and tested by _alternative_fit; the loop prices
+    S alone. After it every root's A is read once: off its cell's interpolant
+    where the cell passes, and otherwise by one _alternative_values pass over
+    the failing cells' certified roots.
     """
     top = float(knots[-1]) if knots.size else 0.0
     over = budgets > top
@@ -343,11 +343,7 @@ def _solve_log_lambda(knots, log_slopes, theta: float, budgets: np.ndarray, valu
     with np.errstate(all="ignore"):  # a share that underflows fails certification
         f = np.log(_spend(increments, y) / total).reshape(centre.size, n)
     u = centre[cell] + half * _fitted_roots(f, cell, np.log(budgets / total))
-    alt = exact = None
-    if value is not None:
-        coef, passed = _alternative_fit(
-            _alternative_values(value, knots.size, y, theta).reshape(centre.size, n))
-        alt, exact = np.empty_like(budgets), ~passed[cell]
+    coef, passed = _alternative_fit(_alternative_values(value, y, theta).reshape(centre.size, n))
     # u_at and residual hold the last priced point of each budget.
     u_at, residual = u.copy(), np.empty_like(budgets)
     active = np.arange(budgets.size)
@@ -357,10 +353,6 @@ def _solve_log_lambda(knots, log_slopes, theta: float, budgets: np.ndarray, valu
         r = _spend(increments, y) - target
         u_at[active], residual[active] = ua, r
         miss = ~(np.abs(r) <= LAMBDA_REL_TOL * target)
-        if exact is not None:
-            priced = ~miss & exact[active]
-            if priced.any():
-                alt[active[priced]] = _alternative_values(value, knots.size, y[priced], theta)
         active, ua, r = active[miss], ua[miss], r[miss]
         if active.size == 0:
             break
@@ -394,9 +386,11 @@ def _solve_log_lambda(knots, log_slopes, theta: float, budgets: np.ndarray, valu
             f"multiplier for budget {float(budgets[worst])} at theta {theta!r} is "
             f"exp({float(u_at[worst])!r}), outside the normal double range"
         )
-    if exact is not None:
-        fit = ~exact
-        alt[fit] = _clenshaw(coef[cell[fit]].T, (u_at[fit] - centre[cell[fit]]) / half)
+    alt, fit = np.empty_like(budgets), passed[cell]
+    alt[fit] = _clenshaw(coef[cell[fit]].T, (u_at[fit] - centre[cell[fit]]) / half)
+    if not fit.all():
+        y = _breakpoints(log_slopes, u_at[~fit, None], theta)
+        alt[~fit] = _alternative_values(value, y, theta)
     return u_at, alt
 
 

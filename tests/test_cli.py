@@ -764,6 +764,30 @@ PINNED_RUNS = {
         "manifest.txt":
             "2cd61aa2fd75cea6fea8b142423ea8b49850291f98f2b6a9e3dddf546aea5054",
     }),
+    # small effects: at theta1 0.05 every fit cell of each cap's DP fails the
+    # alternative-value fit test and at 0.1 one does, so these levels' values
+    # are priced exactly at their certified roots
+    "multiround/small-effects": (["--reps", "200", "--param", "levels=20",
+                                  "--param", "caps=1,5", "--param", "theta_grid=0.05,0.1"], {
+        "multiround_terminal.csv":
+            "43c7f00a8e4ee1ee89ebc77cd1779e5b8df6d4867a5eb5a07450f38351ae4d91",
+        "multiround_rounds.csv":
+            "3f5884fbf98507a46ab6d9f4ed2a272825477a41291e4381f2944e1cc92f2c76",
+        "multiround_policy.txt":
+            "896187969bc8f31180415f9227d0416cedd48d1b1a2404d13c00367092d3a26c",
+        "multiround_episodes.csv":
+            "01ad093b667bc1a641da880bf44f6c2aaf94256f2f13a1c1a57ff7c22040f05e",
+        "multiround_profit_cap1.csv":
+            "4134a4ff2a646a231edf0e4f551d6a96e01b5682e6ef5e346947ea0fc854f49e",
+        "multiround_profit_cap1.svg":
+            "c2ff840437b9b18155b28ee9aedfb981d35c68f6d311647630b2c7137a627af2",
+        "multiround_profit_cap5.csv":
+            "e0299e8572c155e58b17ef95a42cf6cfcfe3239890cf2be5e4458ac4cce13053",
+        "multiround_profit_cap5.svg":
+            "ba235dbb8e4bb8a9d0747dd264527d8fb2cb42641261e2be3bf21b8c2a25a284",
+        "manifest.txt":
+            "f7fb7b74045ce806af53f75b8e414dcd27d536caf1b659a5c79690905a4dc6db",
+    }),
 }
 
 

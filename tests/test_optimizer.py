@@ -254,20 +254,27 @@ class TestSolveLambda:
     @pytest.mark.parametrize("theta", [8.0, 36.0])
     def test_large_effect_tabulates_its_bracket_once(self, monkeypatch, theta):
         # roots far below 1e-6 (near exp(-690) at theta 36) are bracketed in
-        # closed form: one table pass, one pass over the fit cells' nodes and
-        # one certifying pass, with no Newton pass
-        passes = []
-        spend = optimizer._spend
+        # closed form: one table pass, one pass over the fit cells' nodes
+        # under the null and one under the alternative, and one certifying
+        # pass over the 9 budgets, with no Newton pass
+        passes, slopes = [], []
+        spend, spend_slope = optimizer._spend, optimizer._spend_slope
 
         def counted(increments, y):
             passes.append(len(y))
             return spend(increments, y)
 
+        def counted_slope(increments, y, theta):
+            slopes.append(len(y))
+            return spend_slope(increments, y, theta)
+
         monkeypatch.setattr(optimizer, "_spend", counted)
+        monkeypatch.setattr(optimizer, "_spend_slope", counted_slope)
         v = sqrt_value(1.0, 10)
         budgets = np.linspace(0.1, 0.9, 9)
         lams = solve_lambda(v, theta, budgets)
-        assert len(passes) <= 3
+        assert len(passes) == 4 and passes[1] == passes[2] and passes[3] == 9
+        assert slopes == []
         monkeypatch.setattr(optimizer, "_spend", spend)
         for lam, budget in zip(lams, budgets):
             assert null_expectation_of_update(v, lam, theta) == pytest.approx(budget, rel=1e-11)
@@ -607,10 +614,10 @@ def _fitted_and_exact(monkeypatch, horizon, theta, levels, cells=None):
     def checked(value, theta1, budgets):
         batch, alt_values = steps(value, theta1, budgets)
         solved = batch.u > -np.inf
-        knots, log_slopes = optimizer._positive_slope_prefix(value)
+        _, log_slopes = optimizer._positive_slope_prefix(value)
         y = optimizer._breakpoints(log_slopes, batch.u[solved, None], theta1)
         fitted.extend(alt_values[solved].tolist())
-        exact.extend(optimizer._alternative_values(value, knots.size, y, theta1).tolist())
+        exact.extend(optimizer._alternative_values(value, y, theta1).tolist())
         return batch, alt_values
 
     def recorded(a):
@@ -626,9 +633,9 @@ def _fitted_and_exact(monkeypatch, horizon, theta, levels, cells=None):
 
 
 class TestFittedAlternativeValues:
-    # the certify pass is a round's only pass over its levels: each level's
-    # alternative value is read off its fit cell's interpolant, or priced
-    # exactly where the cell's trailing coefficients fail the error test
+    # each level's alternative value is read off its fit cell's interpolant,
+    # or, where the cell's trailing coefficients fail the error test, priced
+    # exactly in one pass after the certify pass
 
     @pytest.mark.parametrize("theta", (0.05, 0.2, 1.0, 1.645, 8.0))
     @pytest.mark.parametrize("levels", (100, 400, 1600))
@@ -649,6 +656,22 @@ class TestFittedAlternativeValues:
             m.setattr(optimizer, "ALT_FIT_REL_TOL", math.inf)
             forced, exact = _fitted_and_exact(m, 3, 0.05, 400)
         assert np.max(np.abs(forced - exact) / exact) > optimizer.ALT_FIT_REL_TOL
+
+    @pytest.mark.parametrize("theta, calls", ((0.05, 6), (1.0, 3)))
+    def test_fallback_is_priced_once_per_round(self, monkeypatch, theta, calls):
+        # each round prices its fit cells' nodes, then, after certification,
+        # every level whose cell failed the error test once: all at theta
+        # 0.05, none at 1.0
+        rows = []
+        alternative_values = optimizer._alternative_values
+
+        def counted(v, y, theta1):
+            rows.append(len(y))
+            return alternative_values(v, y, theta1)
+
+        monkeypatch.setattr(optimizer, "_alternative_values", counted)
+        backward_induction(3, 0.1, theta, LicenseGrid.from_cap(5.0, 400))
+        assert len(rows) == calls
 
     @pytest.mark.parametrize("theta", (0.2, 1.0, 8.0))
     def test_fine_grid_cells_pass_the_error_test(self, monkeypatch, theta):

@@ -1,8 +1,9 @@
-"""write_csv takes columns and formats a chunk of rows at a time; its bytes
-must be those of the cell-by-cell writer it replaced, kept here as the
-oracle."""
+"""write_csv takes columns and formats and writes a chunk of rows at a time;
+its bytes must be those of the cell-by-cell writer it replaced, kept here as
+the oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,3 +112,23 @@ def test_columns_that_do_not_fit_the_header_raise(tmp_path, columns):
     with pytest.raises(ValueError, match="needs 2 columns of one length"):
         write_csv(path, ["a", "b"], columns)
     assert not path.exists()
+
+
+def _peak_bytes(path, n_rows):
+    """tracemalloc's peak while write_csv writes three float64 columns of
+    n_rows; the columns are made before tracing starts."""
+    columns = [np.random.default_rng(i).standard_normal(n_rows) for i in range(3)]
+    tracemalloc.start()
+    try:
+        write_csv(path, ["a", "b", "c"], columns)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_chunks_are_written_as_they_are_formatted(tmp_path):
+    # the peak is one chunk's text and cells, not the whole file's: four
+    # times the rows (eight chunks, not two) stays within a quarter more
+    small = _peak_bytes(tmp_path / "small.csv", 2 * _CHUNK + 1)
+    large = _peak_bytes(tmp_path / "large.csv", 8 * _CHUNK + 4)
+    assert large <= 1.25 * small
